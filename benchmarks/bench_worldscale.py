@@ -56,7 +56,7 @@ def _populations() -> tuple[int, ...]:
 
 
 def _child(n_publishers: int, kernel: str) -> dict:
-    """One streamed lazy run at the given population, self-measured."""
+    """One stored run at the given population, self-measured."""
     from repro import SeacmaPipeline, WorldConfig, build_world
     from repro.core.farm import FarmConfig
     from repro.core.sessionbatch import numpy_enabled
@@ -71,7 +71,7 @@ def _child(n_publishers: int, kernel: str) -> dict:
         n_advertisers=50,
     )
     started = time.perf_counter()
-    world = build_world(config)  # lazy is the default
+    world = build_world(config)
     build_seconds = time.perf_counter() - started
     pipeline = SeacmaPipeline(
         world, farm_config=FarmConfig(session_kernel=kernel)
@@ -88,7 +88,6 @@ def _child(n_publishers: int, kernel: str) -> dict:
     return {
         "publishers": n_publishers,
         "population": population,
-        "lazy": world.lazy,
         "kernel": kernel,
         "numpy": numpy_enabled(),
         "build_seconds": round(build_seconds, 3),
@@ -210,15 +209,15 @@ def test_world_scale(save_artifact):
     )
     if len(runs) >= 2:
         # Bounded memory at scale: RSS must grow far slower than the
-        # population.  Eager growth is roughly linear (~25 KB/publisher);
-        # the lazy world's page cache caps the resident page set, so a
-        # 10x population may cost at most ~3x the memory.
+        # population.  Retaining every page would grow roughly linearly
+        # (~25 KB/publisher); the world's page cache caps the resident
+        # page set, so a 10x population may cost at most ~3x the memory.
         first, last = runs[0], runs[-1]
         population_ratio = last["population"] / first["population"]
         rss_ratio = last["peak_rss_kb"] / first["peak_rss_kb"]
         assert rss_ratio < max(3.0, population_ratio / 3), (
             f"peak RSS grew {rss_ratio:.1f}x over a {population_ratio:.0f}x "
-            "population increase — the lazy world is not bounding memory"
+            "population increase — the page cache is not bounding memory"
         )
 
 

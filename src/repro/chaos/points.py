@@ -63,10 +63,9 @@ SEGMENT_POINTS = (
 PIPELINE_POINTS = ("checkpoint.persist",)
 FEED_POINTS = ("feed.publish.pre", "feed.publish.post")
 MERGE_POINTS = ("parallel.merge.pre", "parallel.merge.post")
-#: The lazy-world materialization path: ``pre`` dies before a page is
+#: The world materialization path: ``pre`` dies before a page is
 #: derived, ``post`` after it entered the bounded cache.  Reached by any
-#: lazy run (reversal materializes every publisher), including inside
-#: shard workers.
+#: run that crawls a publisher, including inside shard workers.
 WORLD_POINTS = ("world.materialize.pre", "world.materialize.post")
 #: The adaptive-scheduling arm-statistics write: ``pre`` dies before the
 #: round's cumulative stats record is appended, ``post`` after the append

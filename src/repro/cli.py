@@ -8,15 +8,15 @@ Subcommands::
 
     seacma run       --preset tiny --seed 7 --days 2 [--fault-rate P]
                      [--no-retries] [--no-milking] [--out DIR]
-                     [--no-lazy-world] [--session-kernel batch|scalar]
-                     [--stream --store-dir DIR [--batch-domains N]
-                      [--workers K] [--fsync]]
+                     [--session-kernel batch|scalar]
+                     [--store-dir DIR] [--batch-domains N]
+                     [--workers K] [--fsync]
                      [--policy static|egreedy|ucb1 [--explore-floor F]
                       [--session-budget N]]
                      [--trace-dir DIR] [--metrics]
     seacma resume    STORE_DIR --days 2 [--no-milking]
                      [--batch-domains N] [--workers K] [--fsync]
-                     [--no-lazy-world] [--session-kernel batch|scalar]
+                     [--session-kernel batch|scalar]
                      [--trace-dir DIR] [--metrics]
     seacma tables    --preset tiny --seed 7 --days 2 [--from-store DIR]
     seacma feeds     --preset tiny --seed 7 --days 2
@@ -30,9 +30,9 @@ Subcommands::
     seacma feed      lag   STORE_DIR [--cohorts N] [--clients-per-cohort N]
                      [--poll-minutes F] [--fault-rate P] [--fleet-seed N]
                      [--poll-jitter F]
-    seacma selfcheck --preset small [--no-lazy-world]
+    seacma selfcheck --preset small
 
-``run --stream`` persists the run into a store directory as it goes;
+``run --store-dir`` persists the run into a store directory as it goes;
 ``resume`` continues a run whose process died mid-crawl; ``tables`` and
 ``report`` with ``--from-store`` regenerate their output offline from a
 stored run without re-crawling anything.  ``run --workers K`` executes
@@ -65,14 +65,7 @@ features — into a content-deduplicated, numpy-vectorized resolve phase;
 byte-identical in every output (store, trace, feeds, policy stream), so
 the choice is purely about wall time.
 
-Worlds are built lazily by default (``--lazy-world``): publisher pages
-are derived on demand into a bounded cache, so populations of 10k+
-publishers run in bounded memory with byte-identical outputs.
-``--no-lazy-world`` forces the old eager construction, which
-materializes every site up front and refuses populations beyond the
-eager limit.
-
-The ``feed`` group works against the versioned blocklist a streamed,
+The ``feed`` group works against the versioned blocklist a stored,
 milking-enabled run published into its store: ``feed serve`` mounts it
 behind an HTTP API — by default the precomputed-payload asyncio engine
 (``--engine asyncio``, optionally replicated across ``--serve-workers``
@@ -132,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--preset", choices=sorted(_PRESETS), default="tiny")
         command.add_argument("--seed", type=int, default=7)
         command.add_argument("--days", type=float, default=2.0, help="milking days")
-        _add_lazy_world_argument(command)
         if name != "selfcheck":
             command.add_argument(
                 "--fault-rate",
@@ -149,15 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
             command.add_argument("--out", type=pathlib.Path, default=None)
             command.add_argument("--no-milking", action="store_true")
             command.add_argument(
-                "--stream",
-                action="store_true",
-                help="run the streaming pipeline (incremental stages)",
-            )
-            command.add_argument(
                 "--store-dir",
                 type=pathlib.Path,
                 default=None,
-                help="persist the streaming run into this directory",
+                help="persist the run into this directory as it goes",
             )
             command.add_argument(
                 "--batch-domains",
@@ -169,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--workers",
                 type=int,
                 default=1,
-                help="crawl worker processes (requires --stream; results "
-                "are byte-identical to --workers 1)",
+                help="crawl worker processes (results are byte-identical "
+                "to --workers 1)",
             )
             command.add_argument(
                 "--fsync",
@@ -221,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="regenerate offline from a stored run (skips the crawl)",
             )
     resume = sub.add_parser(
-        "resume", help="continue an interrupted streaming run from its store"
+        "resume", help="continue an interrupted run from its store"
     )
     resume.add_argument("store_dir", type=pathlib.Path)
     resume.add_argument("--days", type=float, default=2.0, help="milking days")
@@ -242,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="session-simulation kernel for the resumed crawl "
         "(byte-identical outputs either way)",
     )
-    _add_lazy_world_argument(resume)
     _add_telemetry_arguments(resume)
     store = sub.add_parser(
         "store", help="inspect and repair durable run stores"
@@ -341,17 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_lazy_world_argument(command: argparse.ArgumentParser) -> None:
-    command.add_argument(
-        "--lazy-world",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="materialize publisher pages on demand into a bounded cache "
-        "(the default; outputs are byte-identical to the eager world, "
-        "which --no-lazy-world forces)",
-    )
-
-
 def _add_telemetry_arguments(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--trace-dir",
@@ -373,7 +348,7 @@ def _run_pipeline(args):
     fault_rate = getattr(args, "fault_rate", 0.0)
     if fault_rate:
         config = dataclasses.replace(config, fault_rate=fault_rate)
-    world = build_world(config, lazy=args.lazy_world)
+    world = build_world(config)
     sched_config = None
     if getattr(args, "policy", "static") != "static" or getattr(
         args, "session_budget", None
@@ -395,24 +370,21 @@ def _run_pipeline(args):
     with_milking = not getattr(args, "no_milking", False)
     telemetry = _activate_telemetry(args, world)
     try:
-        if getattr(args, "stream", False):
-            store = None
-            if args.store_dir is not None:
-                from repro.store import JsonlStore
+        store = None
+        if getattr(args, "store_dir", None) is not None:
+            from repro.store import JsonlStore
 
-                store = JsonlStore(
-                    args.store_dir,
-                    run_id=f"{args.preset}-{args.seed}",
-                    fsync=args.fsync,
-                )
-            result = pipeline.run_streaming(
-                store=store,
-                with_milking=with_milking,
-                batch_domains=args.batch_domains,
-                workers=args.workers,
+            store = JsonlStore(
+                args.store_dir,
+                run_id=f"{args.preset}-{args.seed}",
+                fsync=args.fsync,
             )
-        else:
-            result = pipeline.run(with_milking=with_milking)
+        result = pipeline.run_streaming(
+            store=store,
+            with_milking=with_milking,
+            batch_domains=getattr(args, "batch_domains", 1),
+            workers=getattr(args, "workers", 1),
+        )
     finally:
         if telemetry is not None:
             from repro.telemetry import deactivate
@@ -470,7 +442,7 @@ def _resume(args) -> int:
     from repro.store.persist import load_world
 
     store = JsonlStore.open(args.store_dir, fsync=args.fsync)
-    world = load_world(store, lazy=args.lazy_world)
+    world = load_world(store)
     pipeline = SeacmaPipeline(
         world,
         farm_config=_farm_config(args),
@@ -498,12 +470,12 @@ def _resume(args) -> int:
     return 0
 
 
-def _load_stored(path, lazy: bool | None = None):
+def _load_stored(path):
     from repro.store import JsonlStore
     from repro.store.persist import load_result, load_world
 
     store = JsonlStore.open(path)
-    return load_world(store, lazy=lazy), load_result(store)
+    return load_world(store), load_result(store)
 
 
 def _print_tables(world, result, out=print) -> None:
@@ -544,8 +516,6 @@ def main(argv: list[str] | None = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", 1) > 1 and args.command == "run" and not args.stream:
-        parser.error("--workers requires --stream (the batch mode is sequential)")
     if getattr(args, "workers", 1) < 1:
         parser.error("--workers must be at least 1")
     try:
@@ -732,9 +702,7 @@ def _dispatch(args) -> int:
         print(render_summary(summarize_trace(args.trace_dir)))
         return 0
     if args.command == "selfcheck":
-        world = build_world(
-            _PRESETS[args.preset](seed=args.seed), lazy=args.lazy_world
-        )
+        world = build_world(_PRESETS[args.preset](seed=args.seed))
         issues = world.self_check()
         if issues:
             for issue in issues:
@@ -747,7 +715,7 @@ def _dispatch(args) -> int:
         return 0
     telemetry = None
     if getattr(args, "from_store", None) is not None:
-        world, result = _load_stored(args.from_store, lazy=args.lazy_world)
+        world, result = _load_stored(args.from_store)
     else:
         world, result, telemetry = _run_pipeline(args)
     if args.command == "tables":
@@ -778,7 +746,7 @@ def _dispatch(args) -> int:
                 f"residential cap: {result.crawl.residential_dropped} "
                 "residential-group domains not visited (bandwidth budget)"
             )
-        if args.stream and args.store_dir is not None:
+        if args.store_dir is not None:
             print(f"run store written to {args.store_dir}/")
         if result.milking is not None:
             print(

@@ -13,21 +13,16 @@
 Each stage is also callable on its own, so experiments (and tests) can
 run any prefix of the pipeline.
 
-Two execution modes share the same stage objects:
-
-* :meth:`SeacmaPipeline.run` — the batch mode: crawl everything, then
-  run each analysis stage once over the full interaction list;
-* :meth:`SeacmaPipeline.run_streaming` — the streaming mode: a
-  :class:`StreamingRun` feeds every finished crawl batch into the
-  incremental stages *while the crawl is still going*, persisting each
-  record into a :class:`~repro.store.base.RunStore` as it is produced.
-
-Both modes produce byte-identical results (see
-``tests/test_streaming_pipeline.py``): the incremental stages are
-schedule-invariant and milking starts after the crawl in either mode, so
-the virtual-time line is the same.  A streaming run whose process died
-mid-crawl is continued by :meth:`SeacmaPipeline.resume_streaming` over
-the surviving store.
+:meth:`SeacmaPipeline.run_streaming` drives the whole loop: a
+:class:`StreamingRun` feeds every finished crawl batch into the
+incremental stages *while the crawl is still going*, persisting each
+record into a :class:`~repro.store.base.RunStore` as it is produced.
+The incremental stages are schedule-invariant: any ``batch_domains``
+gives the results of the batch ``discover_campaigns`` /
+``attribute_interactions`` reference functions over the finished crawl
+(``tests/test_streaming_pipeline.py``).  Milking starts after the
+crawl.  A run whose process died mid-crawl is continued by
+:meth:`SeacmaPipeline.resume_streaming` over the surviving store.
 """
 
 from __future__ import annotations
@@ -119,7 +114,7 @@ def record_world_stats(world: World) -> None:
             "world.materialize",
             sim_start=now,
             sim_end=now,
-            attrs={"lazy": world.lazy, **stats.as_dict()},
+            attrs=stats.as_dict(),
             lane=SHARD_LANE,
         )
 
@@ -288,55 +283,8 @@ class SeacmaPipeline:
     # ---------------------------------------------------------------- run
 
     def run(self, with_milking: bool = True) -> PipelineResult:
-        """Run the full pipeline in batch mode and collect every artifact."""
-        if self.sched_config is not None and self.sched_config.is_adaptive:
-            # Adaptive scheduling is inherently incremental (each round's
-            # allocation needs the previous round's analysis), so batch
-            # mode delegates to a streaming run over an in-process store.
-            return self.run_streaming(with_milking=with_milking)
-        telemetry = current_telemetry()
-        result = PipelineResult()
-        with telemetry.span("pipeline.run", attrs={"mode": "batch"}):
-            with telemetry.span("stage.patterns"):
-                result.patterns = self.derive_patterns()
-            with telemetry.span("stage.reverse"):
-                result.publisher_domains = self.reverse_publishers(result.patterns)
-            with telemetry.span(
-                "stage.crawl", attrs={"publishers": len(result.publisher_domains)}
-            ):
-                result.crawl = self.crawl(result.publisher_domains)
-            with telemetry.span("stage.discovery"):
-                result.discovery = self.discover(result.crawl)
-            with telemetry.span("stage.attribution"):
-                result.attribution = self.attribute(result.crawl, result.patterns)
-            with telemetry.span("stage.expansion"):
-                result.new_patterns = discover_new_networks(
-                    result.attribution.unknown
-                )
-                result.expanded_publishers = expand_publisher_list(
-                    result.new_patterns,
-                    self._require_publicwww(),
-                    already_known=set(result.publisher_domains),
-                )
-            if with_milking:
-                with telemetry.span("stage.milking"):
-                    publisher = self.feed_publisher(
-                        result.discovery, result.attribution
-                    )
-                    result.milking = self.milk(
-                        result.discovery, observers=(publisher,)
-                    )
-                    result.feed = publisher.snapshots
-            result.fault_stats = self.world.internet.fault_stats
-            telemetry.record_fault_stats(result.fault_stats)
-            telemetry.set_gauge(
-                "crawl.publishers", result.crawl.publishers_visited
-            )
-            telemetry.set_gauge(
-                "discovery.campaigns", len(result.discovery.campaigns)
-            )
-            record_world_stats(self.world)
-        return result
+        """Run the full pipeline over an in-memory store."""
+        return self.run_streaming(with_milking=with_milking)
 
     # ---------------------------------------------------------- streaming
 
@@ -370,11 +318,11 @@ class SeacmaPipeline:
         batch_domains: int = 1,
         workers: int = 1,
     ) -> PipelineResult:
-        """Run the full pipeline in streaming mode.
+        """Run the full pipeline and collect every artifact.
 
-        Identical results to :meth:`run`, but every crawl record is
-        ingested by the incremental stages and appended to ``store`` the
-        moment its publisher domain finishes crawling.  ``batch_domains``
+        Every crawl record is ingested by the incremental stages and
+        appended to ``store`` (a fresh :class:`MemoryStore` when omitted)
+        the moment its publisher domain finishes crawling.  ``batch_domains``
         sets how many finished domains are grouped per analysis-stage
         ingest (any value produces the same results; it exists to bound
         per-ingest overhead and to let tests vary the batch schedule).
@@ -441,8 +389,8 @@ class StreamingRun:
     * per ``batch_domains`` finished domains: the buffered interactions
       are fed to discovery and attribution, which update incrementally;
     * :meth:`finalize` closes the crawl summary, writes campaigns,
-      attribution rows and the milking report, and returns the same
-      :class:`PipelineResult` a batch run produces.
+      attribution rows and the milking report, and returns the
+      :class:`PipelineResult`.
     """
 
     def __init__(
@@ -817,7 +765,7 @@ class StreamingRun:
         if status is None:
             raise StoreError(
                 f"store {store.run_id!r} holds no run to resume; start one "
-                "with `repro run --stream --store-dir DIR`"
+                "with `repro run --store-dir DIR`"
             )
         progress = store.read(PROGRESS)
         raw = store.read(INTERACTIONS)

@@ -1,13 +1,13 @@
-"""Lazy world materialization: derive publisher artifacts on demand.
+"""World materialization: derive publisher artifacts on demand.
 
-The eager builder keeps every :class:`~repro.ecosystem.publisher.PublisherSite`
-— and, once touched, every built page — alive for the whole run, which
-caps the population a world can hold in memory.  This module is the lazy
-alternative the directory services build on:
+Keeping every :class:`~repro.ecosystem.publisher.PublisherSite` — and,
+once touched, every built page — alive for the whole run would cap the
+population a world can hold in memory.  The directory services build
+on this module instead:
 
 * :class:`SiteRecord` is the compact per-publisher skeleton (domain,
-  rank, category, network keys) the sequential generation pass emits for
-  *every* population size; a record is a few hundred bytes where a
+  rank, category, network keys) the sequential generation pass emits
+  for every publisher; a record is a few hundred bytes where a
   materialized site with its page is tens of kilobytes;
 * :class:`PageCache` is a bounded LRU over built pages.  A page is a
   pure function of ``(seed, domain)`` (see
@@ -17,13 +17,10 @@ alternative the directory services build on:
   ``world.publishers`` list, materializing transient site views on
   access only.
 
-Determinism argument: lazy and eager worlds run the *same* skeleton
-pass (same RNG draws, same DNS registrations) and differ only in when a
-page object exists in memory.  Because page derivation consumes no
-shared RNG stream and mutates no world state, building a page late, or
-twice, yields byte-identical artifacts — which is what the
-lazy-vs-eager equivalence suite (``tests/test_lazy_world.py``) proves
-end to end.
+Determinism argument: page derivation consumes no shared RNG stream and
+mutates no world state, so building a page late, or twice, yields
+byte-identical artifacts; golden-digest tests pin the resulting store,
+trace, metrics and report.
 
 The cache build path carries two named chaos points
 (``world.materialize.pre``/``world.materialize.post``) so the crash
@@ -148,10 +145,10 @@ class PageCache:
 
 
 class SiteSequence(Sequence):
-    """``world.publishers`` over a lazy directory: views, not residents.
+    """``world.publishers`` over the directory: views, not residents.
 
-    Supports ``len``/iteration/indexing/slicing like the eager list, but
-    each access materializes a transient
+    Supports ``len``/iteration/indexing/slicing like a list, but each
+    access materializes a transient
     :class:`~repro.ecosystem.publisher.PublisherSite` view from the
     directory's record table; nothing is retained between accesses.
     """

@@ -200,7 +200,7 @@ class FeedServer:
         if not records:
             raise StoreError(
                 f"store {store.run_id!r} holds no feed snapshots; run "
-                "`seacma run --stream --store-dir DIR` (with milking "
+                "`seacma run --store-dir DIR` (with milking "
                 "enabled) to publish a feed"
             )
         return cls(

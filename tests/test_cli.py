@@ -79,9 +79,9 @@ class TestStreaming:
     def test_parser_stream_options(self):
         parser = build_parser()
         args = parser.parse_args(
-            ["run", "--stream", "--store-dir", "d", "--batch-domains", "4"]
+            ["run", "--store-dir", "d", "--batch-domains", "4"]
         )
-        assert args.stream and str(args.store_dir) == "d"
+        assert str(args.store_dir) == "d"
         assert args.batch_domains == 4
         args = parser.parse_args(["resume", "d", "--days", "1.5"])
         assert args.command == "resume"
@@ -90,7 +90,7 @@ class TestStreaming:
     def test_run_stream_then_offline_report(self, tmp_path, capsys):
         store_dir = tmp_path / "store"
         code = main(
-            ["run", "--days", "0.5", "--seed", "3", "--stream",
+            ["run", "--days", "0.5", "--seed", "3",
              "--store-dir", str(store_dir)]
         )
         assert code == 0
@@ -104,6 +104,24 @@ class TestStreaming:
         assert capsys.readouterr().out.startswith("# SEACMA measurement report")
         assert main(["tables", "--from-store", str(store_dir)]) == 0
         assert "TABLE 1" in capsys.readouterr().out
+
+
+    def test_run_store_dir_leaves_a_checked_store(self, tmp_path, capsys):
+        from repro.store import JsonlStore
+
+        store_dir = tmp_path / "store"
+        code = main(
+            ["run", "--seed", "3", "--no-milking", "--store-dir",
+             str(store_dir), "--batch-domains", "3", "--fsync"]
+        )
+        assert code == 0
+        assert f"run store written to {store_dir}/" in capsys.readouterr().out
+        store = JsonlStore.open(store_dir)
+        assert store.get_meta("status") == "finished"
+        assert store.count("progress") > 0
+        store.close()
+        assert main(["store", "check", str(store_dir)]) == 0
+        assert ": clean" in capsys.readouterr().out
 
 
 class TestStoreErrorPaths:
@@ -142,20 +160,14 @@ class TestStoreErrorPaths:
 
 
 class TestWorkersFlag:
-    def test_workers_require_stream(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["run", "--workers", "2"])
-        assert "--stream" in capsys.readouterr().err
-
     def test_zero_workers_rejected(self, capsys):
         with pytest.raises(SystemExit):
-            main(["run", "--stream", "--workers", "0"])
+            main(["run", "--workers", "0"])
 
     def test_streamed_run_with_workers(self, tmp_path, capsys):
         code = main(
             [
                 "run",
-                "--stream",
                 "--workers",
                 "2",
                 "--seed",
@@ -256,7 +268,6 @@ class TestTelemetryFlags:
         code = main(
             [
                 "run",
-                "--stream",
                 "--seed",
                 "3",
                 "--days",
@@ -292,7 +303,6 @@ class TestTelemetryFlags:
         code = main(
             [
                 "run",
-                "--stream",
                 "--seed",
                 "3",
                 "--days",

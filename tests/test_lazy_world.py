@@ -1,17 +1,24 @@
-"""Lazy-vs-eager world equivalence (repro.ecosystem.materialize).
+"""World materialization: golden outputs and the page-cache machinery.
 
-The lazy world's contract is *observational indistinguishability*: every
-population the eager path can reach must produce byte-identical store
-files, report output and canonical sim-lane trace when built lazily —
-only memory behavior may differ.  This suite proves that end to end
-(seeds × configs × workers 1/2) and unit-tests the machinery it rests
-on: the bounded :class:`PageCache`, the record-level skeleton, and the
-pure page-derivation function that makes eviction safe.
+The world derives publisher pages on demand into a bounded cache.  Its
+contract is that *when* a page is built never changes an output byte.
+This suite pins the end-to-end outputs — store files, canonical
+sim-lane trace, metrics and report, for seeds 7/13 × workers 1/2 — and
+the publisher skeleton to SHA-256 digests recorded when the world could
+still also be built eagerly (both constructions produced these exact
+digests).  It also unit-tests the machinery the contract rests on: the
+bounded :class:`PageCache`, the record-level skeleton, and the pure
+page-derivation function that makes eviction safe.
+
+A deliberate output change must update the digests below in the same
+commit, with the reason in its message.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -19,7 +26,6 @@ import pytest
 from repro import SeacmaPipeline, WorldConfig, build_world
 from repro.analysis.reportgen import generate_report
 from repro.core.milking import MilkingConfig
-from repro.ecosystem import world as world_module
 from repro.ecosystem.materialize import (
     DEFAULT_PAGE_CACHE_SIZE,
     MaterializationStats,
@@ -27,12 +33,42 @@ from repro.ecosystem.materialize import (
     SiteSequence,
 )
 from repro.ecosystem.publisher import PublisherDirectory, derive_publisher_page
-from repro.errors import WorldConfigError
 from repro.store import JsonlStore
 from repro.telemetry import Telemetry, use
 from repro.telemetry.export import canonical_trace_bytes
 
 MILKING = MilkingConfig(duration_days=0.5, post_lookup_days=0.5)
+
+#: SHA-256 of each streamed run's artifacts, keyed by seed.  The same
+#: digests hold for every worker count.
+GOLDEN_RUNS = {
+    7: {
+        "store": "e08141d553952274b11f0cad27deb7dfcd6519035c592369d8da105e29009761",
+        "trace": "f81cdaaceb858d1a7fe87aaf8d4b2f464401ae61f76c84e007b74cfcc677a2e1",
+        "metrics": "934db006293086c2e4dfd85613a7c458b967db8e1592998d447de3e199533c3c",
+        "report": "dc4949d65bd7b38913db58b1455a8fad76601bf02166ef013dd2e8840319865b",
+    },
+    13: {
+        "store": "0e6cbe4abfbc99ba47b7f5585a086ea158b637103b889d6bf4994b5f7ea88b68",
+        "trace": "555a6663ffa1fb89b3def4df799f197e7e0e7f5f8bc8338e72ddc56471ad134a",
+        "metrics": "c32e47774bd9ce457d2c28c492eca7482656d10da3efa0984c97a21ad513f008",
+        "report": "3833f14e635266886747d7f6a904c30a0e9a2e1e7e4c8b65741e60686dd17f3e",
+    },
+}
+#: ``WorldConfig.tiny(seed=7)``: the record table and every page source.
+GOLDEN_TINY_POPULATION = 132
+GOLDEN_TINY_RECORDS = (
+    "6b52590f7ca11b3e0b0ccf8b9516a865725b2280c65612c10ba5a3eeb7bf130b"
+)
+GOLDEN_TINY_PAGES = (
+    "0b207865dc162e36d432211382427fd883ef058e6e00244b93a3ef28bfd22570"
+)
+
+
+def sha256(data: str | bytes) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
 
 
 def micro_config(seed: int) -> WorldConfig:
@@ -47,11 +83,10 @@ def store_digest(store_dir: Path) -> str:
     return digest.hexdigest()
 
 
-def run_streaming(tmp_path: Path, seed: int, workers: int, lazy: bool):
+def run_streaming(tmp_path: Path, seed: int, workers: int):
     """One traced streaming run; returns every observable artifact."""
-    store_dir = tmp_path / f"{'lazy' if lazy else 'eager'}-s{seed}-w{workers}"
-    world = build_world(micro_config(seed), lazy=lazy)
-    assert world.lazy is lazy
+    store_dir = tmp_path / f"s{seed}-w{workers}"
+    world = build_world(micro_config(seed))
     pipeline = SeacmaPipeline(world, milking_config=MILKING)
     telemetry = Telemetry(world.clock)
     with use(telemetry):
@@ -121,16 +156,15 @@ class TestPageCache:
 
 class TestLazyDirectory:
     def test_lazy_and_eager_share_one_skeleton(self):
-        eager = build_world(WorldConfig.tiny(seed=7), lazy=False)
-        lazy = build_world(WorldConfig.tiny(seed=7), lazy=True)
-        eager_dir, lazy_dir = eager.publisher_directory, lazy.publisher_directory
-        assert eager_dir.domains() == lazy_dir.domains()
-        for domain in eager_dir.domains():
-            assert eager_dir.record(domain) == lazy_dir.record(domain)
+        directory = build_world(WorldConfig.tiny(seed=7)).publisher_directory
+        records = [
+            [record.domain, record.rank, record.category, list(record.network_keys)]
+            for record in map(directory.record, directory.domains())
+        ]
+        assert len(records) == GOLDEN_TINY_POPULATION
+        assert sha256(json.dumps(records)) == GOLDEN_TINY_RECORDS
 
     def test_publishers_sequence_is_lazy_but_equal(self):
-        # Network servers compare by identity, so cross-world sites are
-        # compared field-wise via their skeleton projection.
         def skeleton(site):
             return (
                 site.domain,
@@ -139,84 +173,52 @@ class TestLazyDirectory:
                 tuple(network.spec.key for network in site.networks),
             )
 
-        eager = build_world(WorldConfig.tiny(seed=7), lazy=False)
-        lazy = build_world(WorldConfig.tiny(seed=7), lazy=True)
-        assert isinstance(lazy.publishers, SiteSequence)
-        assert len(lazy.publishers) == len(eager.publishers)
-        assert list(map(skeleton, lazy.publishers)) == list(
-            map(skeleton, eager.publishers)
-        )
-        assert [skeleton(site) for site in lazy.publishers[:3]] == [
-            skeleton(site) for site in eager.publishers[:3]
-        ]
-        assert skeleton(lazy.new_publishers[0]) == skeleton(
-            eager.new_publishers[0]
-        )
+        world = build_world(WorldConfig.tiny(seed=7))
+        directory = world.publisher_directory
+        records = [astuple(directory.record(d)) for d in directory.domains()]
+        assert isinstance(world.publishers, SiteSequence)
+        assert len(world.publishers) == world.config.n_publishers
+        regular = records[: len(world.publishers)]
+        assert list(map(skeleton, world.publishers)) == regular
+        assert [skeleton(site) for site in world.publishers[:3]] == regular[:3]
+        assert skeleton(world.new_publishers[0]) == records[len(regular)]
 
     def test_pages_byte_identical_across_modes(self):
-        eager = build_world(WorldConfig.tiny(seed=7), lazy=False)
-        lazy = build_world(WorldConfig.tiny(seed=7), lazy=True)
-        for domain in eager.publisher_directory.domains():
-            assert (
-                lazy.publisher_directory.source_of(domain)
-                == eager.publisher_directory.source_of(domain)
-            )
+        directory = build_world(WorldConfig.tiny(seed=7)).publisher_directory
+        digest = hashlib.sha256()
+        for domain in directory.domains():
+            digest.update(domain.encode() + b"\0")
+            digest.update(directory.source_of(domain).encode() + b"\0")
+        assert digest.hexdigest() == GOLDEN_TINY_PAGES
 
     def test_rederivation_after_eviction_is_identical(self):
-        seed = 7
-        directory = PublisherDirectory(
-            seed,
-            network_servers=build_world(WorldConfig.tiny(seed=seed)).networks,
-            page_cache_size=1,
-        )
-        lazy = build_world(WorldConfig.tiny(seed=seed), lazy=True)
-        first: dict[str, str] = {}
-        domains = lazy.publisher_directory.domains()[:5]
-        for domain in domains:
-            first[domain] = lazy.publisher_directory.source_of(domain)
+        world = build_world(WorldConfig.tiny(seed=7))
+        domains = world.publisher_directory.domains()[:5]
+        first = {
+            domain: world.publisher_directory.source_of(domain)
+            for domain in domains
+        }
         # Force churn through a capacity-1 view of the same records.
-        del directory  # (constructed only to cover the ctor knob)
         small = PublisherDirectory(
-            seed, network_servers=lazy.networks, page_cache_size=1
+            7, network_servers=world.networks, page_cache_size=1
         )
         for domain in domains:
-            small.add_record(lazy.publisher_directory.record(domain))
+            small.add_record(world.publisher_directory.record(domain))
         for _ in range(2):
             for domain in domains:
                 assert small.source_of(domain) == first[domain]
         assert small.stats.cache_evictions > 0
 
     def test_derive_publisher_page_is_pure(self):
-        lazy = build_world(WorldConfig.tiny(seed=7), lazy=True)
-        domain = lazy.publisher_directory.domains()[0]
-        site = lazy.publisher_directory.get(domain)
+        world = build_world(WorldConfig.tiny(seed=7))
+        domain = world.publisher_directory.domains()[0]
+        site = world.publisher_directory.get(domain)
         once = derive_publisher_page(site, 7).source_text()
         again = derive_publisher_page(site, 7).source_text()
         assert once == again
 
     def test_default_cache_bound_is_sane(self):
         assert DEFAULT_PAGE_CACHE_SIZE >= 256
-
-
-# ------------------------------------------------------- eager fail-fast
-
-
-class TestEagerFailFast:
-    def test_paper_scale_eager_fails_fast(self):
-        with pytest.raises(WorldConfigError) as excinfo:
-            build_world(WorldConfig.paper_scale(), lazy=False)
-        message = str(excinfo.value)
-        assert "eager-construction limit" in message
-        assert "lazy" in message
-
-    def test_guard_respects_limit_boundary(self, monkeypatch):
-        monkeypatch.setattr(world_module, "EAGER_PUBLISHER_LIMIT", 50)
-        config = WorldConfig.tiny(seed=7)  # 120 publishers + new pubs
-        with pytest.raises(WorldConfigError):
-            build_world(config, lazy=False)
-        # The same population builds lazily without complaint.
-        world = build_world(config, lazy=True)
-        assert len(world.publishers) == config.n_publishers
 
 
 # --------------------------------------------------------- end-to-end
@@ -226,23 +228,21 @@ class TestEquivalence:
     @pytest.mark.parametrize("seed", [7, 13])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_streaming_run_byte_identical(self, tmp_path, seed, workers):
-        eager = run_streaming(tmp_path, seed, workers, lazy=False)
-        lazy = run_streaming(tmp_path, seed, workers, lazy=True)
-        assert lazy["store"] == eager["store"]
-        assert lazy["trace"] == eager["trace"]
-        assert lazy["metrics"] == eager["metrics"]
-        assert lazy["report"] == eager["report"]
+        artifacts = run_streaming(tmp_path, seed, workers)
+        assert {
+            "store": artifacts["store"],
+            "trace": sha256(artifacts["trace"]),
+            "metrics": sha256(artifacts["metrics"]),
+            "report": sha256(artifacts["report"]),
+        } == GOLDEN_RUNS[seed]
 
     def test_batch_report_byte_identical(self):
-        outputs = {}
-        for lazy in (False, True):
-            world = build_world(micro_config(7), lazy=lazy)
-            result = SeacmaPipeline(world, milking_config=MILKING).run()
-            outputs[lazy] = generate_report(world, result)
-        assert outputs[True] == outputs[False]
+        world = build_world(micro_config(7))
+        result = SeacmaPipeline(world, milking_config=MILKING).run()
+        assert sha256(generate_report(world, result)) == GOLDEN_RUNS[7]["report"]
 
     def test_materialized_gauge_counts_only_crawled_publishers(self, tmp_path):
-        artifacts = run_streaming(tmp_path, 7, 1, lazy=True)
+        artifacts = run_streaming(tmp_path, 7, 1)
         config = micro_config(7)
         population = config.n_publishers + config.resolved_new_publishers
         line = next(

@@ -91,7 +91,7 @@ class TestPublisherDirectory:
     def test_duplicate_rejected(self, fresh_world):
         site = fresh_world.publishers[0]
         with pytest.raises(ValueError):
-            fresh_world.publisher_directory.add(site)
+            fresh_world.publisher_directory.add_record(site.record())
 
     def test_unknown_lookup_raises(self, fresh_world):
         with pytest.raises(KeyError):

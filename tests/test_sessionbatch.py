@@ -1,7 +1,7 @@
 """Session-kernel equivalence (repro.core.sessionbatch).
 
 The batch kernel's contract is byte-identity: for every seed, worker
-count, and execution mode (batch ``run()``, streaming, crash-resume),
+count, and execution mode (``run()``, a stored run, crash-resume),
 the ``batch`` kernel — with numpy and with the pure-Python hash
 fallback — must produce the same store bytes, canonical sim-lane trace,
 metrics text and report as the original ``scalar`` loop.  This suite

@@ -1,9 +1,13 @@
-"""Streaming pipeline: batch equivalence, persistence, and resume.
+"""Streaming pipeline: golden outputs, persistence, and resume.
 
 The contract under test (DESIGN.md, "Streaming architecture"):
 
-* ``run_streaming()`` produces **byte-identical** campaigns, attribution
-  and milking to ``run()``, for any seed and any batch schedule;
+* ``run_streaming()`` — and ``run()``, which delegates to it — produces
+  the campaigns, attribution and milking pinned by golden digests, for
+  any seed and any batch schedule;
+* the incremental stages agree with the batch reference functions
+  (``discover_campaigns`` / ``attribute_interactions``) over the
+  finished crawl;
 * a run streamed into a :class:`JsonlStore` regenerates the same report
   offline (store → reload → report == live report);
 * a run whose process dies mid-crawl resumes from its store and
@@ -12,6 +16,7 @@ The contract under test (DESIGN.md, "Streaming architecture"):
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -31,6 +36,33 @@ from repro.store.persist import load_result, load_world
 
 MILKING = MilkingConfig(duration_days=0.5, post_lookup_days=0.5)
 
+#: SHA-256 of each :func:`fingerprint` component for
+#: ``WorldConfig.tiny(seed)``, recorded from the former batch-mode
+#: ``run()`` (which the streaming run matched byte for byte).
+GOLDEN_FINGERPRINTS = {
+    3: {
+        "crawl": "11f431ba8844a23b480ca2808f58e1c77e08e7f07d93612af08c2fdce2448c6e",
+        "campaigns": "7e4f32c2df95650e0c8e625832f90e3620ebdd68c5592e088123031e28997970",
+        "attribution": "1af142df0260759c34c2d54f1a70cd20ee206f19f972b66882ac6677ea73c0b8",
+        "milking": "a81e7d527043eca72b4fcf1a270bce0b78f428038986abffda6d93d799a53d31",
+        "clock": "6ff1e805c1710e1dbc762c798051a7e1084f2ac4d950848d29e6f2fc5eb94118",
+    },
+    7: {
+        "crawl": "09b64b354df296440a7221872ec1ccf4e0fb40ab2fd473ff4574a56eeeb78957",
+        "campaigns": "bc97443708a8ff6571c8b518a0780de1c2727c76d7cc3288321cd1d2e0a2bb43",
+        "attribution": "d9f0670f9b7221e25e146c7dfb3483fa6d340f936801980559779f3c7fd517d8",
+        "milking": "81e53a82185b9ab036ec24257f63d873ddd3fff5b9886df9cf989eb0d5c6f4d6",
+        "clock": "6ff1e805c1710e1dbc762c798051a7e1084f2ac4d950848d29e6f2fc5eb94118",
+    },
+    11: {
+        "crawl": "0b648672886cc2c9456442297782d7dc4a6d8a7d04ccd8b61aa7b04642146fc4",
+        "campaigns": "113958bbee3a40b1a0d73a5f58afd99592d687aebd090293644fa1424dc0d6a0",
+        "attribution": "b003842f0889f32e4114466aebac0964365d6a2d2e9f31a007e8fb2fd3f7f07b",
+        "milking": "bc531e7e5291143c7547c91d07050cdc04f86b182004dbc7ec934d315fc49263",
+        "clock": "6ff1e805c1710e1dbc762c798051a7e1084f2ac4d950848d29e6f2fc5eb94118",
+    },
+}
+
 
 def make_pipeline(seed: int):
     world = build_world(WorldConfig.tiny(seed=seed))
@@ -46,6 +78,15 @@ def fingerprint(world, result) -> dict[str, str]:
     """
     return {
         "crawl": _sorted_json(export_crawl_dataset(result.crawl.interactions)),
+        **fingerprint_parts(result),
+        "milking": _sorted_json(export_milking_report(result.milking)),
+        "clock": repr(world.clock.now()),
+    }
+
+
+def fingerprint_parts(result) -> dict[str, str]:
+    """The campaign census and attribution components of :func:`fingerprint`."""
+    return {
         "campaigns": json.dumps(
             [
                 {
@@ -75,8 +116,6 @@ def fingerprint(world, result) -> dict[str, str]:
             },
             sort_keys=True,
         ),
-        "milking": _sorted_json(export_milking_report(result.milking)),
-        "clock": repr(world.clock.now()),
     }
 
 
@@ -90,23 +129,33 @@ def _sorted_json(text: str) -> str:
 class TestBatchStreamingEquivalence:
     @pytest.mark.parametrize("seed", [3, 7, 11])
     def test_streaming_equals_batch_across_schedules(self, seed):
-        baseline = fingerprint(*self._run(seed, mode="batch"))
-        for batch_domains in (1, 5):  # two batch schedules per seed
-            streamed = fingerprint(
-                *self._run(seed, mode="stream", batch_domains=batch_domains)
-            )
-            for component, expected in baseline.items():
-                assert streamed[component] == expected, (
-                    f"seed {seed}, batch_domains {batch_domains}: "
-                    f"{component} diverged"
+        # run() is run_streaming() with batch_domains=1; 5 is a second
+        # ingest schedule.
+        drivers = {
+            "run()": lambda pipeline: pipeline.run(),
+            "batch_domains 5": lambda pipeline: pipeline.run_streaming(batch_domains=5),
+        }
+        for label, drive in drivers.items():
+            world, pipeline = make_pipeline(seed)
+            digests = {
+                component: hashlib.sha256(value.encode()).hexdigest()
+                for component, value in fingerprint(
+                    world, drive(pipeline)
+                ).items()
+            }
+            for component, expected in GOLDEN_FINGERPRINTS[seed].items():
+                assert digests[component] == expected, (
+                    f"seed {seed}, {label}: {component} diverged"
                 )
 
-    @staticmethod
-    def _run(seed, mode, batch_domains=1):
-        world, pipeline = make_pipeline(seed)
-        if mode == "batch":
-            return world, pipeline.run()
-        return world, pipeline.run_streaming(batch_domains=batch_domains)
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_incremental_stages_match_batch_reference(self, seed):
+        _, pipeline = make_pipeline(seed)
+        result = pipeline.run_streaming(batch_domains=5, with_milking=False)
+        live = fingerprint_parts(result)
+        result.discovery = pipeline.discover(result.crawl)
+        result.attribution = pipeline.attribute(result.crawl, result.patterns)
+        assert fingerprint_parts(result) == live
 
     def test_live_stage_results_mid_crawl(self):
         world, pipeline = make_pipeline(3)
