@@ -21,6 +21,9 @@ campaign is currently using.  The tracker:
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -31,6 +34,7 @@ from repro.browser.useragent import UserAgentProfile, profile_by_name
 from repro.clock import DAY, EventScheduler, MINUTE
 from repro.core.backtrack import milkable_candidates
 from repro.core.discovery import DiscoveryResult
+from repro.core.sessionbatch import HashMemo, image_digest
 from repro.dom.render import clickable_candidates
 from repro.ecosystem.gsb import GoogleSafeBrowsing
 from repro.ecosystem.virustotal import VirusTotal, VtReport
@@ -177,6 +181,54 @@ class MilkingReport:
         return counts
 
 
+class GsbWatch:
+    """The milking watchlist's 30-minute GSB polls, driven by listing times.
+
+    A poll looks up every watchlist domain not yet seen listed, and a
+    lookup is the pure threshold ``now >= listed_at``, so the outcome of
+    every poll is known once GSB has decided a domain's listing time.
+    Decided domains wait in a min-heap keyed by that time; each
+    :meth:`poll` pops the ones due and stamps them with the poll time,
+    exactly as the lookup that first answered True would have.  The
+    lookups the scan would have made — one per unobserved domain — are
+    still counted in ``gsb.lookup_count`` and the ``milking.gsb_lookups``
+    counter.  Domains GSB has not judged yet are re-checked every poll
+    until a decision arrives.
+    """
+
+    def __init__(self, gsb: GoogleSafeBrowsing, domains: list[MilkedDomain]) -> None:
+        self.gsb = gsb
+        #: The watchlist in discovery order (the report's append-only
+        #: domain list); new entries are admitted at the next poll.
+        self._domains = domains
+        self._admitted = 0
+        self._unobserved = 0
+        self._due: list[tuple[float, int, MilkedDomain]] = []
+        self._tiebreak = itertools.count()
+        self._undecided: list[MilkedDomain] = []
+
+    def poll(self, now: float) -> None:
+        """One GSB round over the watchlist at sim time ``now``."""
+        fresh = self._domains[self._admitted :]
+        self._admitted = len(self._domains)
+        self._unobserved += len(fresh)
+        pending, self._undecided = self._undecided + fresh, []
+        for record in pending:
+            listed_at = self.gsb.listing_decision(record.domain)
+            if listed_at is None:
+                self._undecided.append(record)
+            elif listed_at != math.inf:
+                heapq.heappush(self._due, (listed_at, next(self._tiebreak), record))
+        if not self._unobserved:
+            return
+        self.gsb.lookup_count += self._unobserved
+        current_telemetry().inc("milking.gsb_lookups", self._unobserved)
+        due = self._due
+        while due and due[0][0] <= now:
+            heapq.heappop(due)[2].observed_listed_at = now
+            self._unobserved -= 1
+
+
 class MilkingTracker:
     """Runs the milking experiment against the simulated internet."""
 
@@ -206,6 +258,11 @@ class MilkingTracker:
         #: Payload objects by hash, retained for end-of-experiment VT
         #: submission of previously unknown files.
         self._payloads: dict[str, object] = {}
+        #: Screenshot hashes by content digest.  Milking revisits the
+        #: same few landing templates every 15 minutes for weeks, so a
+        #: frame is hashed once however often it is captured.  Separate
+        #: from the crawl kernel's memo, whose stats describe the crawl.
+        self._hashes = HashMemo()
 
     # ------------------------------------------------------- source setup
 
@@ -299,7 +356,16 @@ class MilkingTracker:
         if not tab.loaded:
             return False
         shot = client.screenshot(tab)
-        return matches_any(dhash128(shot.image), known_hashes)
+        return matches_any(self._screenshot_hash(shot.image), known_hashes)
+
+    def _screenshot_hash(self, image) -> int:
+        """:func:`dhash128` of ``image``, memoized by content digest."""
+        digest = image_digest(image)
+        value = self._hashes.get(digest)
+        if value is None:
+            value = dhash128(image)
+            self._hashes.put(digest, value)
+        return value
 
     # --------------------------------------------------------------- runs
 
@@ -345,19 +411,14 @@ class MilkingTracker:
             for observer in self.observers:
                 observer.round_complete(now)
 
-        def gsb_round(now: float) -> None:
-            for domain, record in watchlist.items():
-                if record.observed_listed_at is None:
-                    telemetry.inc("milking.gsb_lookups")
-                    if self.gsb.lookup(domain, now):
-                        record.observed_listed_at = now
-
         scheduler.schedule_every(
             config.interval_minutes * MINUTE, milk_round, until=milk_end
         )
         lookups_end = milk_end + config.post_lookup_days * DAY
         scheduler.schedule_every(
-            config.gsb_interval_minutes * MINUTE, gsb_round, until=lookups_end
+            config.gsb_interval_minutes * MINUTE,
+            GsbWatch(self.gsb, report.domains).poll,
+            until=lookups_end,
         )
         scheduler.run_until(lookups_end)
         report.finished_at = milk_end
@@ -450,7 +511,7 @@ class MilkingTracker:
             return False
         source.failures = 0
         shot = client.screenshot(tab)
-        shot_hash = dhash128(shot.image)
+        shot_hash = self._screenshot_hash(shot.image)
         if not matches_any(shot_hash, source.known_hashes):
             return True  # loaded, but drifted away from the campaign
         source.known_hashes.add(shot_hash)

@@ -727,9 +727,8 @@ class StreamingRun:
                 )
                 result.feed = publisher.snapshots
             store.extend(MILKING, milking_to_records(result.milking))
-            store.extend(
-                FEED, (snapshot.to_record() for snapshot in result.feed)
-            )
+            for snapshot in result.feed:
+                store.append_encoded(FEED, snapshot.canonical_bytes())
         result.fault_stats = pipeline.world.internet.fault_stats
         telemetry.record_fault_stats(result.fault_stats)
         telemetry.set_gauge("crawl.publishers", dataset.publishers_visited)

@@ -71,7 +71,7 @@ def numpy_enabled() -> bool:
     return True
 
 
-def _image_digest(image: Any) -> bytes:
+def image_digest(image: Any) -> bytes:
     """Content digest of a screenshot array (shape- and dtype-aware)."""
     h = blake2b(digest_size=16)
     h.update(repr((image.shape, str(image.dtype))).encode())
@@ -156,7 +156,7 @@ class DeferredRecorder:
         fresh_digests: list[bytes] = []
         fresh_slots: dict[bytes, list[int]] = {}
         for index, image in enumerate(self.images):
-            digest = _image_digest(image)
+            digest = image_digest(image)
             slots = fresh_slots.get(digest)
             if slots is not None:
                 slots.append(index)

@@ -84,6 +84,17 @@ class GoogleSafeBrowsing:
         decision = self._decisions.get(domain)
         return decision is not None and now >= decision.listed_at
 
+    def listing_decision(self, domain: str) -> float | None:
+        """The time from which :meth:`lookup` answers True for ``domain``.
+
+        ``+inf`` when GSB decided never to list it; ``None`` while GSB has
+        not judged the domain yet (a decision may still arrive).  Lets a
+        watcher that polls on a schedule know in advance which poll will
+        first see the listing, without making the lookups.
+        """
+        decision = self._decisions.get(domain)
+        return None if decision is None else decision.listed_at
+
     def listed_time(self, domain: str) -> float | None:
         """When ``domain`` was (or will be) listed; None if never."""
         decision = self._decisions.get(domain)

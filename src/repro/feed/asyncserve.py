@@ -54,7 +54,7 @@ from urllib.parse import parse_qs
 
 from repro.errors import ConfigError
 from repro.feed.server import DELTA, FULL, NOT_MODIFIED, FeedServer
-from repro.feed.snapshot import FeedSnapshot
+from repro.feed.snapshot import snapshots_from_records
 from repro.telemetry import current as current_telemetry
 
 #: Latency histogram bucket upper bounds, in milliseconds.
@@ -520,7 +520,7 @@ def _serve_replica_process(
     theorem rather than an implementation accident.
     """
     feed = FeedServer(
-        (FeedSnapshot.from_record(record) for record in records),
+        snapshots_from_records(records),
         checkpoint_interval=checkpoint_interval,
     )
     engine = AsyncFeedServer(feed, stats_dir=stats_dir)

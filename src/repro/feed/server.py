@@ -45,7 +45,11 @@ from repro.feed.payloads import (
     Payload,
     PayloadStore,
 )
-from repro.feed.snapshot import FeedSnapshot, compute_delta
+from repro.feed.snapshot import (
+    FeedSnapshot,
+    compute_delta,
+    snapshots_from_records,
+)
 from repro.telemetry import current as current_telemetry
 
 __all__ = [
@@ -204,7 +208,7 @@ class FeedServer:
                 "enabled) to publish a feed"
             )
         return cls(
-            (FeedSnapshot.from_record(record) for record in records),
+            snapshots_from_records(records),
             delta_cache_size=delta_cache_size,
             checkpoint_interval=checkpoint_interval,
         )

@@ -16,7 +16,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from functools import cached_property
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import ConfigError
 
@@ -51,6 +52,16 @@ class FeedEntry:
             "last_seen": self.last_seen,
         }
 
+    @cached_property
+    def canonical_bytes(self) -> bytes:
+        """The entry's canonical JSON, encoded on first use and kept.
+
+        Entries are immutable and the publisher carries an unchanged
+        entry object from one version to the next, so each entry is
+        encoded once however many snapshots hold it.
+        """
+        return _canonical_json(self.to_record())
+
     @classmethod
     def from_record(cls, data: Mapping[str, Any]) -> "FeedEntry":
         return cls(
@@ -67,10 +78,38 @@ def _canonical_json(value: Any) -> bytes:
     return json.dumps(value, separators=(",", ":"), sort_keys=True).encode("utf-8")
 
 
+def _entries_json(ordered: Iterable[FeedEntry]) -> bytes:
+    """``_canonical_json`` of the entries' records, from the cached bytes."""
+    return b"[" + b",".join(entry.canonical_bytes for entry in ordered) + b"]"
+
+
 def _entries_digest(ordered: Iterable[FeedEntry]) -> str:
-    return hashlib.sha256(
-        _canonical_json([entry.to_record() for entry in ordered])
-    ).hexdigest()
+    return hashlib.sha256(_entries_json(ordered)).hexdigest()
+
+
+def _interned_entries(
+    items: Iterable[Mapping[str, Any]], interned: dict[tuple, FeedEntry]
+) -> Iterator[FeedEntry]:
+    """Entries for ``items``, one shared object per distinct entry.
+
+    Consecutive feed versions repeat most entries unchanged; sharing
+    them keeps one object (and one cached encoding) per distinct entry
+    instead of one per version.  The key carries the numeric fields'
+    types because ``1 == 1.0`` but the two encode differently.
+    """
+    for item in items:
+        cluster_id = item["cluster_id"]
+        first_seen = item["first_seen"]
+        last_seen = item["last_seen"]
+        key = (
+            item["domain"], cluster_id, item["category"], item["network"],
+            first_seen, last_seen,
+            type(cluster_id), type(first_seen), type(last_seen),
+        )
+        entry = interned.get(key)
+        if entry is None:
+            entry = interned[key] = FeedEntry.from_record(item)
+        yield entry
 
 
 @dataclass(frozen=True)
@@ -114,8 +153,25 @@ class FeedSnapshot:
         return {entry.domain: entry for entry in self.entries}
 
     def canonical_bytes(self) -> bytes:
-        """The snapshot's full wire payload (what ``feed pull`` emits)."""
-        return _canonical_json(self.to_record())
+        """The snapshot's full wire payload (what ``feed pull`` emits).
+
+        Byte-identical to ``_canonical_json(self.to_record())`` — it is
+        also the snapshot's line in the store — but spliced from the
+        entries' cached encodings.  Sorted keys put ``content_hash``
+        first and ``entries`` second, ahead of the remaining fields.
+        """
+        head = _canonical_json({"content_hash": self.content_hash})
+        tail = _canonical_json(
+            {
+                "format": FEED_FORMAT,
+                "kind": "snapshot",
+                "published_at": self.published_at,
+                "version": self.version,
+            }
+        )
+        return b"".join(
+            (head[:-1], b',"entries":', _entries_json(self.entries), b",", tail[1:])
+        )
 
     def to_record(self) -> dict[str, Any]:
         """The snapshot as one store/wire record."""
@@ -129,12 +185,22 @@ class FeedSnapshot:
         }
 
     @classmethod
-    def from_record(cls, data: Mapping[str, Any]) -> "FeedSnapshot":
-        """Inverse of :meth:`to_record`, re-verifying the content hash."""
+    def from_record(
+        cls,
+        data: Mapping[str, Any],
+        interned: dict[tuple, FeedEntry] | None = None,
+    ) -> "FeedSnapshot":
+        """Inverse of :meth:`to_record`, re-verifying the content hash.
+
+        ``interned`` is an entry table shared across the records of one
+        history (see :func:`snapshots_from_records`).
+        """
         snapshot = cls.build(
             version=data["version"],
             published_at=data["published_at"],
-            entries=(FeedEntry.from_record(item) for item in data["entries"]),
+            entries=_interned_entries(
+                data["entries"], {} if interned is None else interned
+            ),
         )
         stored = data.get("content_hash")
         if stored is not None and stored != snapshot.content_hash:
@@ -144,6 +210,15 @@ class FeedSnapshot:
                 f"{snapshot.content_hash[:12]}…); the record was damaged"
             )
         return snapshot
+
+
+def snapshots_from_records(
+    records: Iterable[Mapping[str, Any]],
+) -> Iterator[FeedSnapshot]:
+    """Decode a stored snapshot history, sharing entries across versions."""
+    interned: dict[tuple, FeedEntry] = {}
+    for record in records:
+        yield FeedSnapshot.from_record(record, interned)
 
 
 @dataclass(frozen=True)

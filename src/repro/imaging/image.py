@@ -32,12 +32,14 @@ def render_visual(
     """Render the screenshot for a page's visual spec.
 
     Results are cached (a crawl renders the same page thousands of
-    times); treat the returned array as read-only.
+    times) and returned read-only: a cached frame is shared by every
+    screenshot of the page, and its content digest may already key a
+    memoized hash, so writing to it raises instead of corrupting both.
     """
     base = _template_image(spec.template_key, height, width)
-    if spec.noise_level <= 0:
-        return base
-    return _perturb(base, spec, height, width)
+    image = base if spec.noise_level <= 0 else _perturb(base, spec, height, width)
+    image.flags.writeable = False
+    return image
 
 
 def _template_image(template_key: str, height: int, width: int) -> np.ndarray:

@@ -17,6 +17,7 @@ offline).
 
 from __future__ import annotations
 
+import json
 from typing import Any, Iterable, Mapping, Protocol, runtime_checkable
 
 #: Stream of raw crawl records (one per :class:`AdInteraction`, in crawl
@@ -70,6 +71,11 @@ class RunStore(Protocol):
 
     def append(self, stream: str, record: Mapping[str, Any]) -> None:
         """Append one record to ``stream``."""
+        ...
+
+    def append_encoded(self, stream: str, line: bytes) -> None:
+        """Append one record given as its canonical JSON line (sorted
+        keys, no spaces, no newline), as :meth:`append` would write it."""
         ...
 
     def extend(self, stream: str, records: Iterable[Mapping[str, Any]]) -> None:
@@ -133,6 +139,11 @@ class StoreBase:
 
     def append(self, stream: str, record: Mapping[str, Any]) -> None:
         raise NotImplementedError
+
+    def append_encoded(self, stream: str, line: bytes) -> None:
+        """Decode and :meth:`append`; a backend that stores lines
+        overrides this to write ``line`` as it is."""
+        self.append(stream, json.loads(line))
 
     def read(self, stream: str) -> list[dict[str, Any]]:
         raise NotImplementedError

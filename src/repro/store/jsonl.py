@@ -242,10 +242,20 @@ class JsonlStore(StoreBase):
     # ------------------------------------------------------------- protocol
 
     def append(self, stream: str, record: Mapping[str, Any]) -> None:
+        self._write_line(stream, _encode(dict(record)))
+
+    def append_encoded(self, stream: str, line: bytes) -> None:
+        """Append a record its producer already encoded as the store's
+        sorted-key, no-space JSON — the bytes :meth:`append` would write
+        for the decoded record, written without re-encoding."""
+        if b"\n" in line:
+            raise StoreError(f"encoded {stream} record spans more than one line")
+        self._write_line(stream, line.decode("utf-8"))
+
+    def _write_line(self, stream: str, line: str) -> None:
         crash_point("store.append.pre")
         before = self.count(stream)
         handle = self._handle(stream)
-        line = _encode(dict(record))
         handle.write(line)
         # ``mid`` flushes the newline-less line first, so the crash leaves
         # exactly the torn tail a real mid-write death leaves.

@@ -23,7 +23,7 @@ from __future__ import annotations
 from repro.core.pipeline import PipelineResult
 from repro.ecosystem.world import World, build_world
 from repro.errors import StoreError
-from repro.feed.snapshot import FeedSnapshot
+from repro.feed.snapshot import snapshots_from_records
 from repro.store.base import (
     ATTRIBUTION,
     CAMPAIGNS,
@@ -109,7 +109,5 @@ def load_result(store: RunStore) -> PipelineResult:
     milking_rows = store.read(MILKING)
     if milking_rows:
         result.milking = milking_from_records(milking_rows)
-    result.feed = [
-        FeedSnapshot.from_record(record) for record in store.read(FEED)
-    ]
+    result.feed = list(snapshots_from_records(store.read(FEED)))
     return result

@@ -1,10 +1,15 @@
 """Tests for the milking tracker (§3.5/§4.5)."""
 
+import math
+import random
+
 import pytest
 
-from repro.clock import DAY
-from repro.core.milking import MilkingConfig, MilkingTracker
+from repro.clock import DAY, MINUTE, SimClock
+from repro.core.milking import GsbWatch, MilkedDomain, MilkingConfig, MilkingTracker
+from repro.ecosystem.gsb import GoogleSafeBrowsing, _Decision
 from repro.errors import MilkingError
+from repro.telemetry import Telemetry, current, use
 
 
 class TestSources:
@@ -109,3 +114,130 @@ class TestMilkingReport:
         _, _, result = pipeline_run
         report = result.milking
         assert report.final_lookup_at >= report.finished_at + 59 * DAY
+
+
+# ------------------------------------------------------- GSB watch oracle
+
+
+def _decide(gsb: GoogleSafeBrowsing, domain: str, listed_at: float) -> None:
+    """Install a GSB listing decision directly (``inf`` = never listed)."""
+    gsb._decisions[domain] = _Decision(
+        will_list=listed_at != math.inf, listed_at=listed_at
+    )
+
+
+def _scan_poll(gsb: GoogleSafeBrowsing, domains: list[MilkedDomain], now: float) -> None:
+    """Reference GSB round: look up every unobserved watchlist domain."""
+    for record in domains:
+        if record.observed_listed_at is None:
+            current().inc("milking.gsb_lookups")
+            if gsb.lookup(record.domain, now):
+                record.observed_listed_at = now
+
+
+def _random_schedule(rng: random.Random, rounds: int, interval: float):
+    """Per-round lists of (discover domain) and (decide domain, listed_at)
+    events; every listing-time shape the watch must handle appears."""
+    times = [index * interval for index in range(rounds)]
+    discoveries: list[list[str]] = [[] for _ in range(rounds)]
+    decisions: list[list[tuple[str, float]]] = [[] for _ in range(rounds)]
+    for number in range(rng.randrange(0, 40)):
+        domain = f"d{number}.example"
+        found = rng.randrange(rounds)
+        discoveries[found].append(domain)
+        shape = rng.choice(
+            ["before", "after", "on_round", "never", "undecided", "late"]
+        )
+        if shape == "undecided":
+            continue  # GSB never judges it
+        if shape == "late":
+            # The decision arrives rounds after discovery — possibly
+            # with a listing time already in the past by then.
+            when = rng.randrange(found, rounds)
+            listed_at = rng.uniform(0.0, times[-1] + interval)
+            decisions[when].append((domain, listed_at))
+            continue
+        listed_at = {
+            "before": times[found] - rng.uniform(0.0, DAY),
+            "after": times[found] + rng.uniform(0.0, rounds * interval),
+            "on_round": times[rng.randrange(rounds)],
+            "never": math.inf,
+        }[shape]
+        decisions[0 if shape != "after" else found].append((domain, listed_at))
+    return times, discoveries, decisions
+
+
+def _drive(poll_with, times, discoveries, decisions):
+    """Replay a schedule through one GSB round implementation."""
+    clock = SimClock()
+    telemetry = Telemetry(clock)
+    gsb = GoogleSafeBrowsing(seed=0)
+    domains: list[MilkedDomain] = []
+    poll = poll_with(gsb, domains)
+    with use(telemetry):
+        for now, found, decided in zip(times, discoveries, decisions):
+            for domain, listed_at in decided:
+                _decide(gsb, domain, listed_at)
+            for domain in found:
+                domains.append(
+                    MilkedDomain(
+                        domain=domain,
+                        cluster_id=1,
+                        category=None,
+                        discovered_at=now,
+                        listed_at_discovery=False,
+                    )
+                )
+            poll(now)
+    observed = {record.domain: record.observed_listed_at for record in domains}
+    counters = telemetry.metrics.snapshot()["counters"]
+    return observed, gsb.lookup_count, counters
+
+
+class TestGsbWatchOracle:
+    """The heap-driven GSB round against a full-watchlist scan."""
+
+    @staticmethod
+    def _watch(gsb, domains):
+        return GsbWatch(gsb, domains).poll
+
+    @staticmethod
+    def _scan(gsb, domains):
+        return lambda now: _scan_poll(gsb, domains, now)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_full_scan_on_random_watchlists(self, seed):
+        rng = random.Random(seed)
+        schedule = _random_schedule(
+            rng, rounds=rng.randrange(1, 30), interval=30 * MINUTE
+        )
+        assert _drive(self._watch, *schedule) == _drive(self._scan, *schedule)
+
+    def test_decision_arriving_after_discovery_is_caught(self):
+        times = [0.0, 1800.0, 3600.0, 5400.0]
+        discoveries = [["late.example"], [], [], []]
+        # Decided at the third round with a listing time already past.
+        decisions = [[], [], [("late.example", 900.0)], []]
+        observed, lookups, counters = _drive(
+            self._watch, times, discoveries, decisions
+        )
+        assert observed == {"late.example": 3600.0}
+        assert (observed, lookups, counters) == _drive(
+            self._scan, times, discoveries, decisions
+        )
+        assert lookups == 3 and counters == {"milking.gsb_lookups": 3}
+
+    def test_never_decided_domain_is_looked_up_every_round(self):
+        times = [0.0, 1800.0, 3600.0]
+        schedule = (times, [["ghost.example"], [], []], [[], [], []])
+        observed, lookups, counters = _drive(self._watch, *schedule)
+        assert observed == {"ghost.example": None}
+        assert lookups == 3 and counters == {"milking.gsb_lookups": 3}
+        assert (observed, lookups, counters) == _drive(self._scan, *schedule)
+
+    def test_empty_watchlist_creates_no_counter(self):
+        schedule = ([0.0, 1800.0], [[], []], [[], []])
+        observed, lookups, counters = _drive(self._watch, *schedule)
+        assert observed == {} and lookups == 0
+        assert "milking.gsb_lookups" not in counters
+        assert (observed, lookups, counters) == _drive(self._scan, *schedule)

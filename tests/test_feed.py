@@ -8,6 +8,7 @@ the HTTP front-end.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import socket
@@ -38,6 +39,8 @@ from repro.feed import (
     state_hash,
 )
 from repro.feed.http import FeedHTTPServer, TransportStats, _FeedRequestHandler
+from repro.feed.snapshot import _canonical_json, snapshots_from_records
+from repro.store.jsonl import JsonlStore, _encode
 from repro.store.memory import MemoryStore
 
 
@@ -93,6 +96,103 @@ class TestSnapshot:
         record["entries"][0]["domain"] = "evil.com"
         with pytest.raises(ConfigError, match="hash check"):
             FeedSnapshot.from_record(record)
+
+
+def awkward_snapshot(version: int = 4, published_at: float = 1e20) -> FeedSnapshot:
+    """Entries covering every encoding corner the wire format has."""
+    return FeedSnapshot.build(
+        version=version,
+        published_at=published_at,
+        entries=[
+            entry("plain.com", 5.0, 900.0),
+            entry("nulls.net", 1800.0, category=None, network=None),
+            entry("huge.org", 1e20, 1e20 + 2**70),
+            entry("bücher.example", 0.1, 3.0, network="réseau"),
+            entry("例え.jp", 7.25, cluster_id=0, category="Scareware ✓"),
+        ],
+    )
+
+
+class TestEncodeOnce:
+    """Cached entry bytes reproduce the record encoding byte for byte."""
+
+    @pytest.mark.parametrize(
+        "snap",
+        [awkward_snapshot(), awkward_snapshot(1, 0.0), snapshot(2, 60.0)],
+        ids=["awkward", "integral-published-at", "empty"],
+    )
+    def test_canonical_bytes_equal_record_encoding(self, snap):
+        assert snap.canonical_bytes() == _canonical_json(snap.to_record())
+        assert snap.canonical_bytes() == _encode(snap.to_record()).encode()
+        for item in snap.entries:
+            assert item.canonical_bytes == _canonical_json(item.to_record())
+
+    def test_content_hash_unchanged_by_cached_bytes(self):
+        snap = awkward_snapshot()
+        records = [item.to_record() for item in snap.entries]
+        assert snap.content_hash == hashlib.sha256(_canonical_json(records)).hexdigest()
+        assert state_hash(snap.entry_map()) == snap.content_hash
+
+    def test_append_encoded_writes_the_append_line(self, tmp_path):
+        snap = awkward_snapshot()
+        with JsonlStore(tmp_path / "encoded") as encoded:
+            encoded.append_encoded("feed", snap.canonical_bytes())
+            assert encoded.count("feed") == 1
+            assert encoded.read("feed") == [snap.to_record()]
+        with JsonlStore(tmp_path / "appended") as appended:
+            appended.append("feed", snap.to_record())
+        line = (tmp_path / "encoded" / "feed.jsonl").read_bytes()
+        assert line == (_encode(snap.to_record()) + "\n").encode()
+        assert line == (tmp_path / "appended" / "feed.jsonl").read_bytes()
+
+    def test_append_encoded_rejects_multi_line_input(self, tmp_path):
+        with JsonlStore(tmp_path / "s") as store:
+            with pytest.raises(StoreError, match="more than one line"):
+                store.append_encoded("feed", b'{"a":1}\n{"b":2}')
+
+    def test_memory_store_decodes_encoded_lines(self):
+        snap = awkward_snapshot()
+        store = MemoryStore()
+        store.append_encoded("feed", snap.canonical_bytes())
+        assert store.read("feed") == [snap.to_record()]
+
+    def test_history_round_trip_shares_equal_entries(self):
+        first = awkward_snapshot(1, 0.0)
+        second = FeedSnapshot.build(
+            version=2,
+            published_at=3600.0,
+            entries=[item for item in first.entries if item.domain != "plain.com"]
+            + [entry("plain.com", 5.0, 3600.0)],
+        )
+        again = list(snapshots_from_records([first.to_record(), second.to_record()]))
+        assert again == [first, second]
+        shared = set(first.domains()) - {"plain.com"}
+        for domain in shared:
+            assert again[0].entry_map()[domain] is again[1].entry_map()[domain]
+        assert again[0].entry_map()["plain.com"] != again[1].entry_map()["plain.com"]
+
+    def test_interning_keeps_int_and_float_times_apart(self):
+        # 5 == 5.0, but the two encode differently; each version keeps
+        # the encoding its record was hashed over.
+        as_float = FeedSnapshot.build(1, 0.0, [entry("a.com", 5.0, 5.0)])
+        as_int = FeedSnapshot.build(2, 1.0, [entry("a.com", 5, 5)])
+        assert as_float.content_hash != as_int.content_hash
+        again = list(snapshots_from_records([as_float.to_record(), as_int.to_record()]))
+        assert [snap.content_hash for snap in again] == [
+            as_float.content_hash, as_int.content_hash,
+        ]
+
+    def test_damaged_record_rejected_with_interning(self):
+        first = snapshot(1, 0.0, "a.com", "b.com")
+        damaged = snapshot(2, 60.0, "a.com", "b.com").to_record()
+        # Point the damaged entry at a value an earlier version interned.
+        damaged["entries"][1]["domain"] = "a.com"
+        with pytest.raises(ConfigError):
+            list(snapshots_from_records([first.to_record(), damaged]))
+        tampered = snapshot(2, 60.0, "a.com", "c.com").to_record()
+        tampered["entries"][1]["last_seen"] = 99.0
+        with pytest.raises(ConfigError, match="hash check"):
+            list(snapshots_from_records([first.to_record(), tampered]))
 
 
 class TestDelta:

@@ -31,6 +31,14 @@ class TestRenderVisual:
         distance = hamming(dhash128(a), dhash128(b))
         assert 0 <= distance <= 12  # within the clustering eps
 
+    @pytest.mark.parametrize("noise_level", [0.0, 0.02])
+    def test_cached_frames_are_read_only(self, noise_level):
+        image = render_visual(VisualSpec("attack/ro", noise_level=noise_level))
+        assert not image.flags.writeable
+        with pytest.raises(ValueError):
+            image[0, 0] = 255
+        assert render_visual(VisualSpec("attack/ro", noise_level=noise_level)) is image
+
     def test_zero_noise_is_pure_template(self):
         a = render_visual(VisualSpec("attack/a", variant=1, noise_level=0.0))
         b = render_visual(VisualSpec("attack/a", variant=2, noise_level=0.0))
