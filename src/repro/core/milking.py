@@ -30,11 +30,12 @@ from typing import Callable, Iterable
 
 from repro.attacks.categories import AttackCategory
 from repro.browser.devtools import DevToolsClient
+from repro.browser.screenshot import Screenshot
 from repro.browser.useragent import UserAgentProfile, profile_by_name
 from repro.clock import DAY, EventScheduler, MINUTE
 from repro.core.backtrack import milkable_candidates
 from repro.core.discovery import DiscoveryResult
-from repro.core.sessionbatch import HashMemo, image_digest
+from repro.core.sessionbatch import HashMemo
 from repro.dom.render import clickable_candidates
 from repro.ecosystem.gsb import GoogleSafeBrowsing
 from repro.ecosystem.virustotal import VirusTotal, VtReport
@@ -258,10 +259,11 @@ class MilkingTracker:
         #: Payload objects by hash, retained for end-of-experiment VT
         #: submission of previously unknown files.
         self._payloads: dict[str, object] = {}
-        #: Screenshot hashes by content digest.  Milking revisits the
-        #: same few landing templates every 15 minutes for weeks, so a
-        #: frame is hashed once however often it is captured.  Separate
-        #: from the crawl kernel's memo, whose stats describe the crawl.
+        #: Screenshot hashes by the ``VisualSpec`` the frame was rendered
+        #: from.  Milking revisits the same few landing templates every
+        #: 15 minutes for weeks, so a frame is hashed once however often
+        #: it is captured.  Separate from the crawl kernel's memo, whose
+        #: stats describe the crawl.
         self._hashes = HashMemo()
 
     # ------------------------------------------------------- source setup
@@ -356,15 +358,18 @@ class MilkingTracker:
         if not tab.loaded:
             return False
         shot = client.screenshot(tab)
-        return matches_any(self._screenshot_hash(shot.image), known_hashes)
+        return matches_any(self._screenshot_hash(shot), known_hashes)
 
-    def _screenshot_hash(self, image) -> int:
-        """:func:`dhash128` of ``image``, memoized by content digest."""
-        digest = image_digest(image)
-        value = self._hashes.get(digest)
+    def _screenshot_hash(self, shot: Screenshot) -> int:
+        """:func:`dhash128` of ``shot.image``, memoized by ``shot.spec``.
+
+        The frame is ``render_visual(shot.spec)``, pure in the spec, so
+        equal specs always hash equal and the pixels need no digest.
+        """
+        value = self._hashes.get(shot.spec)
         if value is None:
-            value = dhash128(image)
-            self._hashes.put(digest, value)
+            value = dhash128(shot.image)
+            self._hashes.put(shot.spec, value)
         return value
 
     # --------------------------------------------------------------- runs
@@ -511,7 +516,7 @@ class MilkingTracker:
             return False
         source.failures = 0
         shot = client.screenshot(tab)
-        shot_hash = self._screenshot_hash(shot.image)
+        shot_hash = self._screenshot_hash(shot)
         if not matches_any(shot_hash, source.known_hashes):
             return True  # loaded, but drifted away from the campaign
         source.known_hashes.add(shot_hash)

@@ -30,7 +30,7 @@ import os
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from hashlib import blake2b
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Hashable
 
 from repro.chaos.points import crash_point
 from repro.core.crawler import AdInteraction, PageFeatures
@@ -80,33 +80,34 @@ def image_digest(image: Any) -> bytes:
 
 
 class HashMemo:
-    """Bounded content-addressed cache of computed screenshot hashes.
+    """Bounded cache of computed screenshot hashes.
 
     Campaign templates repeat across thousands of landing pages, so most
-    frames a crawl captures have been hashed before.  Keyed by content
-    digest (not object identity — the render cache evicts and rebuilds
-    arrays), bounded LRU so a 93k-publisher run cannot grow it without
-    limit.
+    frames a crawl captures have been hashed before.  Keyed by what
+    determines the frame — the crawl kernel uses the content digest (not
+    object identity: the render cache evicts and rebuilds arrays), the
+    milking tracker the frame's ``VisualSpec`` — and bounded LRU so a
+    93k-publisher run cannot grow it without limit.
     """
 
     def __init__(self, max_entries: int = 16384) -> None:
         self.max_entries = max_entries
-        self._entries: OrderedDict[bytes, int] = OrderedDict()
+        self._entries: OrderedDict[Hashable, int] = OrderedDict()
         self.hits = 0
         self.misses = 0
 
-    def get(self, digest: bytes) -> int | None:
-        value = self._entries.get(digest)
+    def get(self, key: Hashable) -> int | None:
+        value = self._entries.get(key)
         if value is None:
             self.misses += 1
             return None
-        self._entries.move_to_end(digest)
+        self._entries.move_to_end(key)
         self.hits += 1
         return value
 
-    def put(self, digest: bytes, value: int) -> None:
-        self._entries[digest] = value
-        self._entries.move_to_end(digest)
+    def put(self, key: Hashable, value: int) -> None:
+        self._entries[key] = value
+        self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
 

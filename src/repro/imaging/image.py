@@ -37,13 +37,21 @@ def render_visual(
     memoized hash, so writing to it raises instead of corrupting both.
     """
     base = _template_image(spec.template_key, height, width)
-    image = base if spec.noise_level <= 0 else _perturb(base, spec, height, width)
+    if spec.noise_level <= 0:
+        return base
+    image = _perturb(base, spec, height, width)
     image.flags.writeable = False
     return image
 
 
+@lru_cache(maxsize=256)
 def _template_image(template_key: str, height: int, width: int) -> np.ndarray:
-    """Deterministic, visually distinctive base image for a template."""
+    """Deterministic, visually distinctive base image for a template.
+
+    Cached and read-only: every variant of a campaign's landing page
+    perturbs the same base (:func:`_perturb` copies before writing), and
+    a ``noise_level <= 0`` spec renders as the shared base itself.
+    """
     rng = np.random.default_rng(derive(0, "template", template_key))
     image = np.empty((height, width), dtype=np.float64)
     # Smooth background gradient: distinct direction/levels per template.
@@ -63,7 +71,9 @@ def _template_image(template_key: str, height: int, width: int) -> np.ndarray:
     for _ in range(rng.integers(2, 5)):
         row = int(rng.integers(0, height))
         image[row, :] = float(rng.uniform(0, 255))
-    return np.clip(image, 0, 255).astype(np.uint8)
+    base = np.clip(image, 0, 255).astype(np.uint8)
+    base.flags.writeable = False
+    return base
 
 
 def _perturb(base: np.ndarray, spec: VisualSpec, height: int, width: int) -> np.ndarray:

@@ -116,6 +116,8 @@ class ThrowawayDomainPool:
         # Rotation history: list of (activation_time, domain); activation
         # times strictly increase.
         self._history: list[tuple[float, str]] = []
+        #: First activation time per domain, for O(1) lookups.
+        self._activations: dict[str, float] = {}
         self._next_rotation = 0.0
 
     def active_domain(self, now: float) -> str:
@@ -132,7 +134,9 @@ class ThrowawayDomainPool:
             return self._history[0][1]
         while not self._history or now >= self._next_rotation:
             activation = self._next_rotation if self._history else 0.0
-            self._history.append((activation, self._generator.dga(tld=self._tld)))
+            domain = self._generator.dga(tld=self._tld)
+            self._history.append((activation, domain))
+            self._activations.setdefault(domain, activation)
             lifetime = self._rng.uniform(self._min, self._max)
             self._next_rotation = activation + lifetime
         return self._history[-1][1]
@@ -170,7 +174,4 @@ class ThrowawayDomainPool:
 
     def activation_time(self, domain: str) -> float:
         """Return when ``domain`` became active; raises if never activated."""
-        for activation, name in self._history:
-            if name == domain:
-                return activation
-        raise KeyError(domain)
+        return self._activations[domain]

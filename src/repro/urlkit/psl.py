@@ -9,6 +9,8 @@ common multi-label suffixes needed to make the extraction logic non-trivial
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.errors import UrlError
 
 # A curated subset of publicsuffix.org.  Multi-label entries are what make
@@ -61,11 +63,14 @@ def public_suffix(host: str) -> str:
     return labels[-1]
 
 
+@lru_cache(maxsize=16384)
 def e2ld(host: str) -> str:
     """Return the effective second-level domain of ``host``.
 
     This is the public suffix plus one label — the registrable domain the
-    paper clusters and blacklists on.
+    paper clusters and blacklists on.  Memoized (milking asks for the same
+    few thousand hosts every round); a malformed host is not cached and
+    raises :class:`~repro.errors.UrlError` on every call.
 
     >>> e2ld("cdn.live6nmld10.club")
     'live6nmld10.club'

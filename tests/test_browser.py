@@ -12,11 +12,13 @@ from repro.browser.logging import (
     ScriptFetchEntry,
     TabOpenEntry,
 )
+from repro.browser.screenshot import DEAD_PAGE_SPEC, Screenshot
 from repro.browser.useragent import CHROME_MACOS
 from repro.clock import SimClock
 from repro.dom.nodes import div, img
 from repro.dom.page import PageContent, VisualSpec
 from repro.errors import BrowserError
+from repro.imaging.image import render_visual
 from repro.js.api import (
     AddListener,
     Alert,
@@ -352,3 +354,18 @@ class TestScreenshots:
         assert np.array_equal(
             browser.screenshot(tab_a).image, browser.screenshot(tab_b).image
         )
+
+    def test_screenshot_carries_its_spec(self, net):
+        page = make_page(title="shot")
+        serve(net, "a.com", page)
+        browser = make_browser(net)
+        shot = browser.screenshot(browser.visit("http://a.com/"))
+        assert shot.spec == page.visual
+        assert shot.image.tobytes() == render_visual(shot.spec).tobytes()
+        dead = browser.screenshot(browser.visit("http://dead1.club/"))
+        assert dead.spec == DEAD_PAGE_SPEC
+
+    def test_screenshot_requires_spec(self):
+        image = render_visual(VisualSpec("attack/x"))
+        with pytest.raises(TypeError):
+            Screenshot(url="http://a.com/", image=image, timestamp=0.0, tab_id=1)

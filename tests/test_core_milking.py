@@ -5,10 +5,14 @@ import random
 
 import pytest
 
+from repro import SeacmaPipeline, WorldConfig, build_world
 from repro.clock import DAY, MINUTE, SimClock
 from repro.core.milking import GsbWatch, MilkedDomain, MilkingConfig, MilkingTracker
+from repro.dom.page import VisualSpec
 from repro.ecosystem.gsb import GoogleSafeBrowsing, _Decision
 from repro.errors import MilkingError
+from repro.imaging.dhash import dhash128
+from repro.imaging.image import render_visual
 from repro.telemetry import Telemetry, current, use
 
 
@@ -28,6 +32,45 @@ class TestSources:
         )
         with pytest.raises(MilkingError):
             tracker.run(MilkingConfig(duration_days=0.1))
+
+
+@pytest.fixture(scope="module")
+def milked_frames():
+    """Every frame a tiny seed-7 milking run hashes, with the hash the
+    tracker returned for it and the tracker itself."""
+    calls, trackers = [], set()
+    original = MilkingTracker._screenshot_hash
+
+    def recording(tracker, shot):
+        value = original(tracker, shot)
+        calls.append((shot, value))
+        trackers.add(tracker)
+        return value
+
+    world = build_world(WorldConfig.tiny(seed=7))
+    pipeline = SeacmaPipeline(
+        world, milking_config=MilkingConfig(duration_days=1.0, post_lookup_days=1.0)
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MilkingTracker, "_screenshot_hash", recording)
+        pipeline.run()
+    return calls, trackers
+
+
+class TestSpecKeyedHashes:
+    def test_spec_keyed_hash_equals_pixel_hash(self, milked_frames):
+        calls, _ = milked_frames
+        assert calls
+        for shot, value in calls:
+            assert value == dhash128(shot.image)
+            assert shot.image.tobytes() == render_visual(shot.spec).tobytes()
+
+    def test_memo_is_keyed_by_spec_and_hits(self, milked_frames):
+        calls, trackers = milked_frames
+        (tracker,) = trackers
+        assert all(isinstance(key, VisualSpec) for key in tracker._hashes._entries)
+        assert len({shot.spec for shot, _ in calls}) < len(calls)
+        assert tracker._hashes.hits > 0
 
 
 class TestMilkingReport:

@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.browser.screenshot import DEAD_PAGE_SPEC
 from repro.dom.page import VisualSpec
 from repro.imaging.dhash import DHASH_BITS, dhash128, dhash_bytes, dhash_hex
 from repro.imaging.distance import hamming, normalized_hamming
-from repro.imaging.image import render_visual, resize_area, to_grayscale
+from repro.imaging.image import (
+    _perturb,
+    _template_image,
+    render_visual,
+    resize_area,
+    to_grayscale,
+)
 from repro.imaging.similarity import best_match, matches_any, near_duplicate
 
 
@@ -43,6 +50,38 @@ class TestRenderVisual:
         a = render_visual(VisualSpec("attack/a", variant=1, noise_level=0.0))
         b = render_visual(VisualSpec("attack/a", variant=2, noise_level=0.0))
         assert np.array_equal(a, b)
+
+
+SPREAD = [
+    DEAD_PAGE_SPEC,
+    VisualSpec("blank"),
+    VisualSpec("attack/a", variant=0, noise_level=0.0),
+    VisualSpec("attack/a", variant=7, noise_level=0.0),
+    VisualSpec("attack/a", variant=1),
+    VisualSpec("attack/a", variant=2, noise_level=0.2),
+    VisualSpec("attack/b", variant=123456, noise_level=0.05),
+    VisualSpec("benign/customer/x.com", variant=3),
+    VisualSpec("publisher/news", variant=0, noise_level=-1.0),
+]
+
+
+class TestTemplateCache:
+    """``_template_image`` is cached; renders must not change because of it."""
+
+    @pytest.mark.parametrize("spec", SPREAD, ids=repr)
+    def test_render_equals_uncached_reference(self, spec):
+        base = _template_image.__wrapped__(spec.template_key, 72, 128)
+        reference = base if spec.noise_level <= 0 else _perturb(base, spec, 72, 128)
+        rendered = render_visual(spec)
+        assert rendered.dtype == reference.dtype == np.uint8
+        assert rendered.tobytes() == reference.tobytes()
+
+    def test_cached_base_is_read_only_and_shared(self):
+        base = _template_image("attack/base", 72, 128)
+        assert not base.flags.writeable
+        with pytest.raises(ValueError):
+            base[0, 0] = 0
+        assert _template_image("attack/base", 72, 128) is base
 
 
 class TestResizeAndGrayscale:

@@ -96,6 +96,40 @@ class TestThrowawayDomainPool:
         after = pool.force_rotation(HOUR / 2)
         assert after != before
 
+    @staticmethod
+    def _scan_activation(pool, domain):
+        """The original linear scan over the rotation history."""
+        for activation, name in pool._history:
+            if name == domain:
+                return activation
+        raise KeyError(domain)
+
+    def test_activation_time_matches_linear_scan(self):
+        pool = self.make_pool(min_lifetime=HOUR / 10, max_lifetime=HOUR / 2)
+        now = 0.0
+        for step in range(1500):
+            now += HOUR / 3
+            if step % 7 == 0:
+                pool.force_rotation(now)
+            pool.active_domain(now)
+        assert pool.domain_count > 1000
+        for domain in pool.all_domains():
+            assert pool.activation_time(domain) == self._scan_activation(pool, domain)
+        with pytest.raises(KeyError):
+            pool.activation_time("never.seen")
+
+    def test_repeated_domain_keeps_first_activation(self):
+        pool = self.make_pool()
+        names = iter(["a.club", "b.club", "a.club", "c.club", "b.club"] * 4)
+        pool._generator.dga = lambda tld=None: next(names)
+        pool.active_domain(0.0)
+        for step in range(1, 5):
+            pool.force_rotation(step * HOUR)
+        assert pool.all_domains() == ["a.club", "b.club", "a.club", "c.club", "b.club"]
+        for domain in ("a.club", "b.club", "c.club"):
+            assert pool.activation_time(domain) == self._scan_activation(pool, domain)
+        assert pool.activation_time("a.club") == 0.0
+
     def test_all_domains_in_activation_order(self):
         pool = self.make_pool()
         pool.active_domain(5 * DAY)

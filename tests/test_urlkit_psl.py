@@ -51,12 +51,34 @@ class TestE2ld:
     def test_case_and_trailing_dot_normalized(self):
         assert e2ld("WWW.Example.COM.") == "example.com"
 
-    @pytest.mark.parametrize("bad", ["", "a..b", "."])
+    @pytest.mark.parametrize("bad", ["", " ", "a..b", ".", "a.b..c", ".y.com"])
     def test_malformed_rejected(self, bad):
-        with pytest.raises(UrlError):
-            e2ld(bad)
+        # e2ld is memoized, and lru_cache does not cache exceptions: a
+        # repeated bad host must raise again, not return a cached value.
+        for _ in range(2):
+            with pytest.raises(UrlError):
+                e2ld(bad)
 
     def test_clustering_distinguishes_campaign_domains(self):
         # Attack domains from the paper's example all have distinct e2LDs.
         hosts = ["live6nmld10.club", "relsta60.club", "99cret1040.club"]
         assert len({e2ld(host) for host in hosts}) == 3
+
+
+@pytest.mark.parametrize(
+    "host, expected",
+    [
+        ("WWW.Example.COM.", "example.com"),
+        ("www.example.com", "example.com"),
+        ("Cdn.Live6NMLD10.Club", "live6nmld10.club"),
+        ("cdn.live6nmld10.club.", "live6nmld10.club"),
+        ("Video.Streams.Example.CO.UK.", "example.co.uk"),
+        ("ATTACKER.BLOGSPOT.COM", "attacker.blogspot.com"),
+        ("CO.UK.", "co.uk"),
+        ("  padded.example.org  ", "example.org"),
+    ],
+)
+def test_memoized_e2ld_matches_uncached(host, expected):
+    assert e2ld.__wrapped__(host) == expected
+    assert e2ld(host) == expected
+    assert e2ld(host) == expected  # the cached answer
