@@ -52,7 +52,7 @@ _OCCURRENCE_POOLS: dict[str, tuple[int, ...]] = {
     # One hit per completed crawl round; an adaptive tiny run with the
     # default round sizing spans roughly a dozen rounds.
     "policy.update": (1, 2, 4),
-    # One hit per crawled domain (the batch kernel resolves every domain,
+    # One hit per crawled domain (the session kernel resolves every domain,
     # even ad-free ones); a tiny run crawls ~40+ domains.
     "farm.sessionbatch": (1, 6, 30),
 }

@@ -8,7 +8,6 @@ Subcommands::
 
     seacma run       --preset tiny --seed 7 --days 2 [--fault-rate P]
                      [--no-retries] [--no-milking] [--out DIR]
-                     [--session-kernel batch|scalar]
                      [--store-dir DIR] [--batch-domains N]
                      [--workers K] [--fsync]
                      [--policy static|egreedy|ucb1 [--explore-floor F]
@@ -16,7 +15,6 @@ Subcommands::
                      [--trace-dir DIR] [--metrics]
     seacma resume    STORE_DIR --days 2 [--no-milking]
                      [--batch-domains N] [--workers K] [--fsync]
-                     [--session-kernel batch|scalar]
                      [--trace-dir DIR] [--metrics]
     seacma tables    --preset tiny --seed 7 --days 2 [--from-store DIR]
     seacma feeds     --preset tiny --seed 7 --days 2
@@ -24,8 +22,7 @@ Subcommands::
     seacma trace     summarize TRACE_DIR
     seacma store     check STORE_DIR
     seacma feed      serve STORE_DIR [--host H] [--port N]
-                     [--engine asyncio|stdlib] [--serve-workers N]
-                     [--checkpoint-interval K]
+                     [--serve-workers N] [--checkpoint-interval K]
     seacma feed      pull  STORE_DIR [--since N] [--json]
     seacma feed      lag   STORE_DIR [--cohorts N] [--clients-per-cohort N]
                      [--poll-minutes F] [--fault-rate P] [--fleet-seed N]
@@ -57,20 +54,11 @@ persisted to the store's ``policy`` stream, so ``seacma resume``
 replays them byte-identically; ``--policy static`` (no budget) keeps
 today's plan, byte for byte.
 
-``--session-kernel`` selects the session-simulation kernel
-(:mod:`repro.core.sessionbatch`): ``batch`` (the default) defers each
-domain's pure per-interaction work — screenshot hashing, landing-page
-features — into a content-deduplicated, numpy-vectorized resolve phase;
-``scalar`` is the original inline loop.  The two kernels are
-byte-identical in every output (store, trace, feeds, policy stream), so
-the choice is purely about wall time.
-
 The ``feed`` group works against the versioned blocklist a stored,
 milking-enabled run published into its store: ``feed serve`` mounts it
-behind an HTTP API — by default the precomputed-payload asyncio engine
-(``--engine asyncio``, optionally replicated across ``--serve-workers``
-SO_REUSEPORT processes; ``--engine stdlib`` selects the threaded
-reference server), with delta-chain compaction tuned by
+behind an HTTP API — the precomputed-payload asyncio front-end,
+optionally replicated across ``--serve-workers`` SO_REUSEPORT
+processes, with delta-chain compaction tuned by
 ``--checkpoint-interval`` — ``feed pull`` performs one snapshot/delta
 poll in-process (``--since`` gives the client's current version,
 ``--json`` dumps the raw payload), and ``feed lag`` replays a simulated
@@ -166,15 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "loss, not just process death)",
             )
             command.add_argument(
-                "--session-kernel",
-                choices=("batch", "scalar"),
-                default="batch",
-                help="session-simulation kernel: batch defers and "
-                "vectorizes screenshot hashing per domain (the fast "
-                "path); scalar is the original inline loop; outputs "
-                "are byte-identical either way",
-            )
-            command.add_argument(
                 "--policy",
                 choices=("static", "egreedy", "ucb1"),
                 default="static",
@@ -222,13 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="fsync every store write while resuming",
     )
-    resume.add_argument(
-        "--session-kernel",
-        choices=("batch", "scalar"),
-        default="batch",
-        help="session-simulation kernel for the resumed crawl "
-        "(byte-identical outputs either way)",
-    )
     _add_telemetry_arguments(resume)
     store = sub.add_parser(
         "store", help="inspect and repair durable run stores"
@@ -260,18 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8337, help="listen port (0 = ephemeral)"
     )
     serve.add_argument(
-        "--engine",
-        choices=("asyncio", "stdlib"),
-        default="asyncio",
-        help="serving engine: the precomputed-payload asyncio front-end "
-        "(default) or the threaded stdlib reference server",
-    )
-    serve.add_argument(
         "--serve-workers",
         type=int,
         default=1,
-        help="SO_REUSEPORT worker replicas for the asyncio engine "
-        "(this process plus N-1 forked workers on the same port)",
+        help="SO_REUSEPORT worker replicas (this process plus N-1 "
+        "forked workers on the same port)",
     )
     serve.add_argument(
         "--checkpoint-interval",
@@ -362,7 +327,6 @@ def _run_pipeline(args):
         )
     pipeline = SeacmaPipeline(
         world,
-        farm_config=_farm_config(args),
         milking_config=_milking_config(args),
         retries_enabled=not getattr(args, "no_retries", False),
         sched_config=sched_config,
@@ -427,16 +391,6 @@ def _milking_config(args) -> MilkingConfig:
     )
 
 
-def _farm_config(args):
-    """Farm config from CLI flags (commands without the flags get defaults)."""
-    from repro.core.farm import FarmConfig
-    from repro.core.sessionbatch import DEFAULT_KERNEL
-
-    return FarmConfig(
-        session_kernel=getattr(args, "session_kernel", DEFAULT_KERNEL)
-    )
-
-
 def _resume(args) -> int:
     from repro.store import JsonlStore
     from repro.store.persist import load_world
@@ -445,7 +399,6 @@ def _resume(args) -> int:
     world = load_world(store)
     pipeline = SeacmaPipeline(
         world,
-        farm_config=_farm_config(args),
         milking_config=_milking_config(args),
     )
     telemetry = _activate_telemetry(args, world)
@@ -553,25 +506,14 @@ def _feed(args) -> int:
     if args.feed_command == "serve":
         if args.serve_workers < 1:
             raise ConfigError("--serve-workers must be at least 1")
-        if args.engine == "asyncio":
-            from repro.feed.asyncserve import AsyncFeedHTTPServer
+        from repro.feed.asyncserve import AsyncFeedHTTPServer
 
-            httpd = AsyncFeedHTTPServer(
-                server, host=args.host, port=args.port, workers=args.serve_workers
-            )
-            engine_note = f"asyncio, {args.serve_workers} replica(s)"
-        else:
-            if args.serve_workers != 1:
-                raise ConfigError(
-                    "--serve-workers applies to the asyncio engine only"
-                )
-            from repro.feed.http import FeedHTTPServer
-
-            httpd = FeedHTTPServer(server, host=args.host, port=args.port)
-            engine_note = "stdlib reference"
+        httpd = AsyncFeedHTTPServer(
+            server, host=args.host, port=args.port, workers=args.serve_workers
+        )
         print(
             f"serving feed v{latest.version} ({len(latest)} entries) "
-            f"at {httpd.url}/v1/feed [{engine_note}]"
+            f"at {httpd.url}/v1/feed [asyncio, {args.serve_workers} replica(s)]"
         )
         try:
             httpd.serve_forever()

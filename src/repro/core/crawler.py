@@ -149,10 +149,11 @@ def crawl_session(
 ) -> list[AdInteraction]:
     """Run one crawling session and return the recorded ad interactions.
 
-    ``recorder`` (a :class:`repro.core.sessionbatch.DeferredRecorder`)
-    diverts the pure per-interaction work — screenshot hashing, landing
-    page feature extraction — out of the session for a later batched
-    resolve; ``None`` computes both inline, exactly as before.
+    ``recorder`` (a :class:`repro.core.sessionbatch.DeferredRecorder`,
+    as the crawler farm's session kernel passes) diverts the pure
+    per-interaction work — screenshot hashing, landing page feature
+    extraction — out of the session for a later batched resolve;
+    ``None`` computes both inline, for direct callers.
     """
     config = config if config is not None else CrawlerConfig()
     client = DevToolsClient(internet, profile, vantage, stealth=True, bypass_locking=True)

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 from repro.browser.useragent import PROFILES, UserAgentProfile
 from repro.core.crawler import AdInteraction, CrawlerConfig, crawl_session
-from repro.core.sessionbatch import DEFAULT_KERNEL, make_kernel
+from repro.core.sessionbatch import DeferredRecorder, SessionKernel
 from repro.ecosystem.world import World
 from repro.errors import ConfigError, TabCrashError, TransientError
 from repro.rng import derive
@@ -73,11 +73,8 @@ class FarmConfig:
     #: eligible universe once up front, and re-capping each (already
     #: capped) round slice would truncate it again.
     apply_residential_cap: bool = True
-    #: Session-simulation kernel (:mod:`repro.core.sessionbatch`):
-    #: ``batch`` defers and vectorizes the pure per-interaction work
-    #: (screenshot hashing, page features); ``scalar`` is the original
-    #: inline loop.  Byte-identical outputs either way.
-    session_kernel: str = DEFAULT_KERNEL
+    #: Not a setting: read by ``perfbench/host.py:provenance()``.
+    session_kernel: ClassVar[str] = "batch"
 
 
 @dataclass
@@ -229,10 +226,8 @@ class CrawlerFarm:
     def __init__(self, world: World, config: FarmConfig | None = None) -> None:
         self.world = world
         self.config = config if config is not None else FarmConfig()
-        #: The session kernel driving each plan entry's inner loop
-        #: (validated here so a bad ``session_kernel`` fails at
-        #: construction, not mid-crawl).
-        self.kernel = make_kernel(self.config.session_kernel)
+        #: The session kernel driving each plan entry's inner loop.
+        self.kernel = SessionKernel()
         #: Progress of the current/last :meth:`crawl` call; pass it back
         #: in to resume after a crash.
         self.checkpoint: CrawlCheckpoint | None = None
@@ -471,7 +466,11 @@ class CrawlerFarm:
         )
 
     def _run_session(
-        self, domain: str, profile: UserAgentProfile, vantage, recorder=None
+        self,
+        domain: str,
+        profile: UserAgentProfile,
+        vantage,
+        recorder: DeferredRecorder,
     ) -> list[AdInteraction]:
         """Run one crawl session, surviving injected container crashes."""
         world = self.world

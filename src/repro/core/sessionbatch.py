@@ -1,32 +1,27 @@
-"""Columnar session-simulation kernels (ROADMAP item 1).
+"""The columnar session kernel (ROADMAP item 1).
 
-A *session kernel* owns the inner loop of :meth:`CrawlerFarm._drive`: it
+The session kernel owns the inner loop of :meth:`CrawlerFarm._drive`: it
 runs every still-pending (domain, profile) session of one plan entry and
-commits the results into the crawl checkpoint.  Two kernels exist:
+commits the results into the crawl checkpoint.  Session control flow
+(clicks, cloaking, RNG draws, virtual clock) runs in plan order — the ad
+servers are stateful within a domain scope, so sessions cannot be
+reordered — but everything *pure* is deferred and batched: screenshot
+hashing moves out of the session loop into a per-domain resolve phase
+that content-dedupes the captured frames and hashes the survivors as one
+stacked array operation (:func:`~repro.imaging.dhash.dhash128_many`), and
+landing-page feature extraction is memoized per rendered page.
 
-* :class:`ScalarSessionKernel` — the original per-session loop, every
-  screenshot hashed inline by :func:`~repro.imaging.dhash.dhash128`.
-* :class:`BatchSessionKernel` — the columnar fast path.  Session control
-  flow (clicks, cloaking, RNG draws, virtual clock) is untouched — the
-  ad servers are stateful within a domain scope, so sessions cannot be
-  reordered — but everything *pure* is deferred and batched: screenshot
-  hashing moves out of the session loop into a per-domain resolve phase
-  that content-dedupes the captured frames and hashes the survivors as
-  one stacked array operation (:func:`~repro.imaging.dhash.dhash128_many`),
-  and landing-page feature extraction is memoized per rendered page.
-
-Byte-identity across kernels is an invariant, not a goal: hashes and
-page features are pure functions of page content that the session control
-flow never reads back, so deferring, deduplicating, or vectorizing them
-cannot change any downstream byte.  Block sums of uint8 pixels are exact
-in float64, which makes the stacked numpy means — and the pure-Python
-fallback used when numpy is disabled via ``SEACMA_SESSIONBATCH_NUMPY=0``
-— bit-identical to the scalar hash (see ``tests/test_sessionbatch.py``).
+Deferring is invisible downstream: hashes and page features are pure
+functions of page content that the session control flow never reads
+back, and block sums of uint8 pixels are exact in float64, so the
+stacked hash is bit-identical to :func:`~repro.imaging.dhash.dhash128`
+on each frame.  ``tests/test_sessionbatch.py`` pins the store, trace,
+metrics and report bytes to goldens recorded from the original inline
+per-session loop.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from hashlib import blake2b
@@ -34,24 +29,11 @@ from typing import TYPE_CHECKING, Any, Hashable
 
 from repro.chaos.points import crash_point
 from repro.core.crawler import AdInteraction, PageFeatures
-from repro.errors import ConfigError
-from repro.imaging.dhash import dhash128_many, dhash128_pure
+from repro.imaging.dhash import dhash128_many
 from repro.telemetry import SHARD_LANE, current as current_telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.farm import CrawlCheckpoint, CrawlPlan, CrawlerFarm, PlanEntry
-
-#: Kernel selected when :class:`~repro.core.farm.FarmConfig` does not say
-#: otherwise.  ``batch`` — the equivalence suite proves it byte-identical
-#: to ``scalar``, so the fast path is the default.
-DEFAULT_KERNEL = "batch"
-KERNELS = ("scalar", "batch")
-
-#: Set to ``0``/``off``/``false``/``no`` to disable the numpy accelerator
-#: inside the batch kernel (the pure-Python hash fallback runs instead).
-#: Exists so CI and the equivalence suite can prove the fallback
-#: byte-identical without uninstalling numpy.
-NUMPY_ENV = "SEACMA_SESSIONBATCH_NUMPY"
 
 #: Interactions recorded per session; sessions cap at
 #: :attr:`~repro.core.crawler.CrawlerConfig.max_ads` (default 3), so the
@@ -60,14 +42,10 @@ SCREEN_BOUNDARIES = (0.0, 1.0, 2.0, 3.0, 5.0, 8.0)
 
 
 def numpy_enabled() -> bool:
-    """Whether the batch kernel may use numpy for hashing."""
-    value = os.environ.get(NUMPY_ENV, "").strip().lower()
-    if value in ("0", "off", "false", "no"):
-        return False
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy is a hard dep today
-        return False
+    """Always ``True``: numpy is a hard dependency.
+
+    Kept because ``perfbench/host.py:provenance()`` records it.
+    """
     return True
 
 
@@ -118,7 +96,7 @@ class HashMemo:
 class DeferredRecorder:
     """Collects pure per-interaction work for a domain's resolve phase.
 
-    Handed to :func:`~repro.core.crawler.crawl_session` by the batch
+    Handed to :func:`~repro.core.crawler.crawl_session` by the session
     kernel.  ``screenshot_hash`` returns a *placeholder* (the pending
     frame's index); the kernel swaps every placeholder for the real hash
     before any record leaves the kernel, so placeholders are never
@@ -143,13 +121,13 @@ class DeferredRecorder:
             self._features[key] = hit
         return hit[1]
 
-    def resolve(self, use_numpy: bool) -> tuple[list[int], dict[str, int]]:
+    def resolve(self) -> tuple[list[int], dict[str, int]]:
         """Hash every pending frame; returns (hashes, resolve stats).
 
         Frames are deduplicated twice: against the cross-domain memo and
         within the pending batch itself.  Only first-seen content is
-        hashed — vectorized when numpy is enabled, else through the
-        pure-Python fallback.  Both produce the bit-identical value
+        hashed, as one stacked :func:`~repro.imaging.dhash.dhash128_many`
+        call that gives the bit-identical value
         :func:`~repro.imaging.dhash.dhash128` would have.
         """
         hashes = [0] * len(self.images)
@@ -170,10 +148,7 @@ class DeferredRecorder:
             fresh_digests.append(digest)
             fresh_images.append(image)
         if fresh_images:
-            if use_numpy:
-                computed = dhash128_many(fresh_images)
-            else:
-                computed = [dhash128_pure(image) for image in fresh_images]
+            computed = dhash128_many(fresh_images)
             for digest, value in zip(fresh_digests, computed):
                 self.memo.put(digest, value)
                 for index in fresh_slots[digest]:
@@ -203,32 +178,19 @@ class KernelStats:
 
 
 class SessionKernel:
-    """Base kernel: the exact legacy per-session loop plus a commit phase.
+    """Runs one plan entry's sessions, then resolves and commits them.
 
     ``run_entry`` runs every pending session of ``entry`` and returns
-    ``(batch_interactions, sessions_run)``.  The commit phase — dataset
-    append, landing-click accounting, checkpoint marks — always runs,
-    even when a session dies on an unabsorbed exception, so the
+    ``(batch_interactions, sessions_run)``.  The commit phase — resolve,
+    dataset append, landing-click accounting, checkpoint marks — always
+    runs, even when a session dies on an unabsorbed exception, so the
     checkpoint a crash leaves behind covers exactly the sessions that
-    finished (the scalar loop's behavior, preserved bit-for-bit by the
-    batch kernel's resolve-before-commit ordering).
+    finished, and no placeholder hash can ever reach it.
     """
-
-    name = "scalar"
 
     def __init__(self) -> None:
         self.stats = KernelStats()
-
-    def _make_recorder(self) -> DeferredRecorder | None:
-        return None
-
-    def _resolve(
-        self,
-        entry: "PlanEntry",
-        recorder: DeferredRecorder | None,
-        pending: list[tuple[tuple[str, str], int, list[AdInteraction]]],
-    ) -> None:
-        """Finish deferred work before the commit phase (no-op here)."""
+        self.memo = HashMemo()
 
     def run_entry(
         self,
@@ -242,11 +204,11 @@ class SessionKernel:
         dataset = checkpoint.dataset
         n_laptops = len(world.vantages_residential) or 1
         telemetry = current_telemetry()
-        recorder = self._make_recorder()
+        recorder = DeferredRecorder(self.memo)
         batch: list[AdInteraction] = []
         sessions_run = 0
         #: (session key, profile index, that session's interactions) —
-        #: interactions may hold placeholder hashes until ``_resolve``.
+        #: interactions hold placeholder hashes until ``_resolve``.
         pending: list[tuple[tuple[str, str], int, list[AdInteraction]]] = []
         try:
             for profile_index, profile in enumerate(config.profiles):
@@ -292,49 +254,24 @@ class SessionKernel:
                     )
         return batch, sessions_run
 
-
-class ScalarSessionKernel(SessionKernel):
-    """The original loop: hash and featurize inline, session by session."""
-
-    name = "scalar"
-
-
-class BatchSessionKernel(SessionKernel):
-    """Columnar fast path: defer pure work, dedupe, hash as one batch."""
-
-    name = "batch"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.memo = HashMemo()
-        self.use_numpy = numpy_enabled()
-
-    def _make_recorder(self) -> DeferredRecorder:
-        return DeferredRecorder(self.memo)
-
     def _resolve(
         self,
         entry: "PlanEntry",
-        recorder: DeferredRecorder | None,
+        recorder: DeferredRecorder,
         pending: list[tuple[tuple[str, str], int, list[AdInteraction]]],
     ) -> None:
-        assert recorder is not None
+        """Swap every placeholder hash in ``pending`` for the real one."""
         crash_point("farm.sessionbatch.pre")
         telemetry = current_telemetry()
         # Operational lane: resolve runs wherever the domain's sessions
-        # ran (parent or shard worker); kernel-internal counters are not
-        # part of the canonical sim trace, so kernels stay byte-identical.
+        # ran (parent or shard worker); its counters are not part of the
+        # canonical sim trace.
         with telemetry.span(
             "farm.sessionbatch",
-            attrs={
-                "domain": entry.domain,
-                "kernel": self.name,
-                "screens": len(recorder.images),
-                "numpy": self.use_numpy,
-            },
+            attrs={"domain": entry.domain, "screens": len(recorder.images)},
             lane=SHARD_LANE,
         ) as span:
-            hashes, stats = recorder.resolve(self.use_numpy)
+            hashes, stats = recorder.resolve()
             for _, _, interactions in pending:
                 for slot, record in enumerate(interactions):
                     interactions[slot] = replace(
@@ -346,14 +283,3 @@ class BatchSessionKernel(SessionKernel):
             if span is not None:
                 span.attrs["hashed"] = stats["hashed"]
         crash_point("farm.sessionbatch.post")
-
-
-def make_kernel(name: str) -> SessionKernel:
-    """Build the session kernel ``name`` (``scalar`` or ``batch``)."""
-    if name == "scalar":
-        return ScalarSessionKernel()
-    if name == "batch":
-        return BatchSessionKernel()
-    raise ConfigError(
-        f"unknown session kernel {name!r}; expected one of {KERNELS}"
-    )

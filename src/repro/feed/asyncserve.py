@@ -1,21 +1,37 @@
-"""High-throughput asyncio front-end for the blocklist feed.
+"""The HTTP front-end for the blocklist feed (asyncio).
 
-The stdlib :class:`~repro.feed.http.FeedHTTPServer` is the *reference*
-implementation: one thread per connection, every response assembled
-through the :class:`~repro.feed.server.FeedServer` protocol objects.
-This module is the production front-end: at startup it renders every
-response the tip of the feed can ever produce into **complete HTTP wire
-bytes** — status line, headers, body; identity and gzip variants — and
-the event loop answers each request with one dictionary lookup and one
-``transport.write``.  No ``FeedServer`` protocol objects, no JSON, no
-per-request allocation beyond the parse.
+``seacma feed serve`` mounts a :class:`~repro.feed.server.FeedServer`
+behind a small JSON-over-HTTP API:
 
-Semantics are pinned to the reference server: both front-ends derive
-every payload decision from the same precomputed
-:class:`~repro.feed.payloads.PayloadStore`, so for every
-``(client_version, client_hash)`` case the two serve byte-identical
-bodies and identical ``ETag``/``X-Feed-Version``/``X-Feed-Status``
-headers (``tests/test_feed_serving.py`` proves it exhaustively).
+* ``GET /v1/feed`` — the latest full snapshot;
+* ``GET /v1/feed?since=N`` — the delta from version ``N`` (or a full
+  snapshot when the delta would not be smaller);
+* ``If-None-Match: <content-hash>`` — conditional request, answered
+  ``304 Not Modified``;
+* ``GET /v1/stats`` — request-accounting counters;
+* ``GET /healthz`` — liveness.
+
+At startup the front-end renders every response the tip of the feed can
+ever produce into **complete HTTP wire bytes** — status line, headers,
+body; identity and gzip variants — and the event loop answers each
+request with one dictionary lookup.  No ``FeedServer`` protocol objects,
+no JSON, no per-request allocation beyond the parse.
+
+Semantics are pinned to :meth:`FeedServer.handle`: the wire table is
+built from the same precomputed :class:`~repro.feed.payloads.PayloadStore`
+that ``handle`` answers from, so for every ``(client_version,
+client_hash)`` case the front-end serves the body, status code and
+``ETag``/``X-Feed-Version``/``X-Feed-Status`` headers that ``handle``
+decides (``tests/test_feed_serving.py`` proves it exhaustively).
+
+Transport hardening: a request head longer than :data:`MAX_HEAD_BYTES`
+is answered ``431`` and the connection closed, so a client cannot grow
+the parse buffer without bound.  A client that pipelines requests but
+does not read its responses is backpressured: once the connection's
+write buffer passes :data:`WRITE_HIGH_WATER` the front-end stops reading
+(and answering) its requests until the buffer drains below
+:data:`WRITE_LOW_WATER`.  Both count in ``/v1/stats``
+(``bad_requests``, ``client_disconnects``).
 
 Scaling out: ``workers=N`` runs N replicas accepting on the same
 ``(host, port)`` via ``SO_REUSEPORT`` — replica 0 in-process, the rest
@@ -64,7 +80,17 @@ LATENCY_BOUNDARIES_MS = (
 )
 
 _REASONS = {200: "OK", 304: "Not Modified", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed"}
+            405: "Method Not Allowed", 431: "Request Header Fields Too Large"}
+
+#: Longest request head (request line plus headers) a connection may
+#: send; a longer one is answered 431 and the connection closed.
+MAX_HEAD_BYTES = 8 * 1024
+
+#: Per-connection write-buffer thresholds: past the high mark the
+#: front-end stops reading that connection's requests, and resumes once
+#: the buffer has drained below the low mark.
+WRITE_HIGH_WATER = 256 * 1024
+WRITE_LOW_WATER = 64 * 1024
 
 #: How often (seconds) each replica refreshes its stats-mailbox file.
 STATS_PUBLISH_INTERVAL = 0.5
@@ -197,11 +223,14 @@ class _Wire:
             400, b'{"error":"since must be an integer version"}\n', ()
         )
         self.not_found = _compose(404, b'{"error":"unknown path"}\n', ())
+        self.head_too_large = _compose(
+            431, b'{"error":"request head too large"}\n', ()
+        )
         self.bad_method = _compose(405, b'{"error":"GET only"}\n', ())
         self.healthz = _compose(200, b'{"status":"ok"}\n', ())
         # Payload metadata per known version (status + identity body
         # size), so per-request accounting never re-inspects bytes —
-        # the reference server counts identity bytes in ``bytes_served``
+        # ``FeedServer.handle`` counts identity bytes in ``bytes_served``
         # and stats parity requires the same here.
         self.meta_full = (FULL, len(full.body))
         self.meta: dict[int, tuple[str, int]] = {}
@@ -213,15 +242,21 @@ class _Wire:
 class FeedProtocol(asyncio.Protocol):
     """Pipelined keep-alive HTTP/1.1 over the precomputed wire table."""
 
-    __slots__ = ("engine", "transport", "buffer")
+    __slots__ = ("engine", "transport", "buffer", "paused", "closed")
 
     def __init__(self, engine: "AsyncFeedServer") -> None:
         self.engine = engine
         self.transport: asyncio.Transport | None = None
         self.buffer = b""
+        #: Write side over the high-water mark: requests wait unanswered.
+        self.paused = False
+        self.closed = False
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self.transport = transport
+        transport.set_write_buffer_limits(
+            high=WRITE_HIGH_WATER, low=WRITE_LOW_WATER
+        )
         sock = transport.get_extra_info("socket")
         if sock is not None:
             try:
@@ -230,30 +265,69 @@ class FeedProtocol(asyncio.Protocol):
                 pass
 
     def connection_lost(self, exc: Exception | None) -> None:
+        self.closed = True
         if exc is not None or self.buffer:
             # Dropped mid-request (or with unread pipelined input).
             self.engine.client_disconnects += 1
 
+    def pause_writing(self) -> None:
+        self.paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        if self.closed:
+            return
+        self.transport.resume_reading()
+        self._answer()
+
     def data_received(self, data: bytes) -> None:
-        buffer = self.buffer + data if self.buffer else data
+        if self.closed:
+            return
+        self.buffer = self.buffer + data if self.buffer else data
+        self._answer()
+
+    def _answer(self) -> None:
+        """Answer every complete buffered request while writes may go.
+
+        Responses are batched into one ``write`` unless the batch would
+        push the write buffer past the high-water mark; then it is
+        flushed at once, so ``pause_writing`` fires before the next
+        request is answered and the buffer never holds more than the
+        high-water mark plus one response.
+        """
+        transport = self.transport
+        buffer = self.buffer
+        start = 0  # parse offset: answered heads are not sliced off one by one
         responses: list[bytes] = []
+        pending = 0
         close = False
-        while True:
-            head_end = buffer.find(b"\r\n\r\n")
+        while not self.paused:
+            # The terminator must start within the cap; searching only
+            # that far keeps a long unterminated head from being rescanned.
+            head_end = buffer.find(
+                b"\r\n\r\n", start, start + MAX_HEAD_BYTES + 4
+            )
             if head_end < 0:
+                if len(buffer) - start >= MAX_HEAD_BYTES + 4:
+                    responses.append(self.engine.head_too_large())
+                    close = True
                 break
-            head = buffer[:head_end]
-            buffer = buffer[head_end + 4:]
-            response, close = self.engine.respond(head)
+            response, close = self.engine.respond(buffer[start:head_end])
+            start = head_end + 4
             responses.append(response)
             if close:
-                buffer = b""
                 break
-        self.buffer = buffer
-        if responses and self.transport is not None:
-            self.transport.write(b"".join(responses))
-            if close:
-                self.transport.close()
+            pending += len(response)
+            if pending + transport.get_write_buffer_size() > WRITE_HIGH_WATER:
+                transport.write(b"".join(responses))
+                responses, pending = [], 0
+        self.buffer = b"" if close else buffer[start:]
+        if responses:
+            transport.write(b"".join(responses))
+        if close:
+            self.closed = True
+            transport.close()
 
 
 class AsyncFeedServer:
@@ -339,6 +413,13 @@ class AsyncFeedServer:
             else wire.meta_full
         self._account(status, size)
         return self._finish(status, pair[1] if accept_gzip else pair[0], started, close)
+
+    def head_too_large(self) -> bytes:
+        """The 431 for a request head over :data:`MAX_HEAD_BYTES`."""
+        self.bad_requests += 1
+        return self._finish(
+            "error", self.wire.head_too_large, time.perf_counter(), True
+        )[0]
 
     # ---------------------------------------------------------- accounting
 
@@ -542,14 +623,13 @@ def _serve_replica_process(
 class AsyncFeedHTTPServer:
     """The asyncio feed front-end, optionally replicated via SO_REUSEPORT.
 
-    API mirrors :class:`~repro.feed.http.FeedHTTPServer` (``port=0``
-    binds an ephemeral port; context manager serves from a background
-    thread).  ``workers=N`` accepts on the same port from N replicas:
-    this process plus ``N-1`` forked workers, each with its own event
-    loop, wire table, and kernel accept queue.  ``/v1/stats`` answers
-    with the handling replica's own counters;
-    ``/v1/stats?scope=cluster`` merges every replica's mailbox file
-    into one fleet-wide view (see the module docstring).
+    ``port=0`` binds an ephemeral port (read it back from :attr:`port`);
+    the context manager serves from a background thread.  ``workers=N``
+    accepts on the same port from N replicas: this process plus ``N-1``
+    forked workers, each with its own event loop, wire table, and kernel
+    accept queue.  ``/v1/stats`` answers with the handling replica's own
+    counters; ``/v1/stats?scope=cluster`` merges every replica's mailbox
+    file into one fleet-wide view (see the module docstring).
     """
 
     def __init__(

@@ -9,12 +9,10 @@ the HTTP front-end.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import socket
 import time
 import urllib.request
-from http.server import BaseHTTPRequestHandler
 
 import pytest
 
@@ -38,7 +36,13 @@ from repro.feed import (
     network_of_clusters,
     state_hash,
 )
-from repro.feed.http import FeedHTTPServer, TransportStats, _FeedRequestHandler
+from repro.feed.asyncserve import (
+    MAX_HEAD_BYTES,
+    WRITE_HIGH_WATER,
+    AsyncFeedHTTPServer,
+    AsyncFeedServer,
+    FeedProtocol,
+)
 from repro.feed.snapshot import _canonical_json, snapshots_from_records
 from repro.store.jsonl import JsonlStore, _encode
 from repro.store.memory import MemoryStore
@@ -588,7 +592,7 @@ class TestHTTP:
 
     def test_full_delta_and_conditional_requests(self):
         server = FeedServer(self.history())
-        with FeedHTTPServer(server) as httpd:
+        with AsyncFeedHTTPServer(server) as httpd:
             status, headers, body = self.fetch(f"{httpd.url}/v1/feed")
             assert status == 200
             assert headers["X-Feed-Status"] == FULL
@@ -608,7 +612,7 @@ class TestHTTP:
 
     def test_stats_healthz_and_errors(self):
         server = FeedServer(self.history())
-        with FeedHTTPServer(server) as httpd:
+        with AsyncFeedHTTPServer(server) as httpd:
             status, _, body = self.fetch(f"{httpd.url}/healthz")
             assert status == 200 and json.loads(body)["status"] == "ok"
 
@@ -623,103 +627,142 @@ class TestHTTP:
             assert status == 404
 
 
-class _FailingWriter:
-    """A ``wfile`` stand-in whose every write raises a transport error."""
+class FakeTransport:
+    """Just enough of an asyncio transport to drive a FeedProtocol."""
 
-    def __init__(self, error: type[Exception]) -> None:
-        self.error = error
+    def __init__(self) -> None:
+        self.written = b""
+        self.closed = False
+
+    def get_extra_info(self, name, default=None):
+        return default
+
+    def set_write_buffer_limits(self, high=None, low=None) -> None:
+        pass
+
+    def get_write_buffer_size(self) -> int:
+        return 0
 
     def write(self, data: bytes) -> None:
-        raise self.error()
+        self.written += data
 
-    def flush(self) -> None:
-        raise self.error()
+    def close(self) -> None:
+        self.closed = True
 
 
-def bare_handler(wfile=None) -> _FeedRequestHandler:
-    """A handler instance with no socket behind it (unit-testing _send)."""
-    handler = _FeedRequestHandler.__new__(_FeedRequestHandler)
-    handler.transport = TransportStats()
-    handler.request_version = "HTTP/1.1"
-    handler.requestline = "GET /v1/feed HTTP/1.1"
-    handler.close_connection = False
-    handler.wfile = wfile if wfile is not None else io.BytesIO()
-    return handler
+def fake_connection() -> tuple[FeedProtocol, FakeTransport]:
+    protocol = FeedProtocol(AsyncFeedServer(FeedServer([snapshot(1, 0.0, "a.com")])))
+    transport = FakeTransport()
+    protocol.connection_made(transport)
+    return protocol, transport
+
+
+def padded_head(length: int) -> bytes:
+    """A GET request head of exactly ``length`` bytes (no terminator)."""
+    start = b"GET /v1/feed HTTP/1.1\r\nX-Pad: "
+    return start + b"a" * (length - len(start))
 
 
 class TestHTTPHardening:
-    """Disconnecting and stalling clients are counted, never crashes."""
-
-    def test_send_counts_client_disconnects(self):
-        for error in (BrokenPipeError, ConnectionResetError):
-            handler = bare_handler(_FailingWriter(error))
-            handler._send(200, b'{"ok":true}\n')  # must not raise
-            assert handler.transport.client_disconnects == 1
-            assert handler.close_connection
-
-    def test_send_counts_stalled_timeouts(self):
-        handler = bare_handler(_FailingWriter(TimeoutError))
-        handler._send(200, b'{"ok":true}\n')
-        assert handler.transport.stalled_timeouts == 1
-        assert handler.close_connection
-
-    def test_send_intact_writer_counts_nothing(self):
-        handler = bare_handler()
-        handler._send(200, b'{"ok":true}\n')
-        assert handler.transport.client_disconnects == 0
-        assert handler.transport.stalled_timeouts == 0
-        assert b'{"ok":true}' in handler.wfile.getvalue()
-
-    def test_handle_swallows_late_disconnects(self, monkeypatch):
-        # The stdlib flushes wfile *after* do_GET returns; a disconnect
-        # surfacing there must be demoted to a counter, not a traceback.
-        monkeypatch.setattr(
-            BaseHTTPRequestHandler,
-            "handle",
-            lambda self: (_ for _ in ()).throw(BrokenPipeError()),
-        )
-        handler = bare_handler()
-        handler.handle()
-        assert handler.transport.client_disconnects == 1
-
-    def test_log_error_counts_stdlib_read_timeouts(self):
-        handler = bare_handler()
-        handler.log_error("Request timed out: %r", TimeoutError())
-        assert handler.transport.stalled_timeouts == 1
-        handler.log_error("code 400, message Bad request")
-        assert handler.transport.stalled_timeouts == 1  # only timeouts count
+    """Misbehaving clients are capped, backpressured and counted."""
 
     def test_stats_expose_transport_counters(self):
         server = FeedServer([snapshot(1, 0.0, "a.com")])
-        with FeedHTTPServer(server) as httpd:
+        with AsyncFeedHTTPServer(server) as httpd:
             with urllib.request.urlopen(f"{httpd.url}/v1/stats") as response:
                 body = json.loads(response.read())
         assert body["client_disconnects"] == 0
-        assert body["stalled_timeouts"] == 0
+        assert body["bad_requests"] == 0
 
-    def test_stalled_reader_is_timed_out_and_counted(self):
-        server = FeedServer([snapshot(1, 0.0, "a.com")])
-        httpd = FeedHTTPServer(server, request_timeout=0.2)
-        with httpd:
-            # Connect and go silent: the per-connection socket timeout
-            # must evict us and bump the stall counter.
-            stalled = socket.create_connection(("127.0.0.1", httpd.port))
-            try:
-                deadline = time.monotonic() + 5.0
-                count = 0
-                while time.monotonic() < deadline:
-                    with urllib.request.urlopen(
-                        f"{httpd.url}/v1/stats"
-                    ) as response:
-                        count = json.loads(response.read())["stalled_timeouts"]
-                    if count >= 1:
-                        break
-                    time.sleep(0.05)
-            finally:
-                stalled.close()
-            assert count >= 1
+    def test_send_counts_client_disconnects(self):
+        # A failed send reaches the protocol as connection_lost(exc).
+        for error in (BrokenPipeError, ConnectionResetError):
+            protocol, _ = fake_connection()
+            protocol.connection_lost(error())  # must not raise
+            assert protocol.engine.client_disconnects == 1
 
-    def test_request_timeout_reaches_the_handler_class(self):
+    def test_send_intact_writer_counts_nothing(self):
+        protocol, transport = fake_connection()
+        protocol.data_received(b"GET /v1/feed HTTP/1.1\r\nHost: x\r\n\r\n")
+        protocol.connection_lost(None)
+        assert transport.written.startswith(b"HTTP/1.1 200 OK")
+        assert protocol.engine.client_disconnects == 0
+        assert protocol.engine.bad_requests == 0
+
+    def test_request_head_at_the_cap_is_answered(self):
+        protocol, transport = fake_connection()
+        protocol.data_received(padded_head(MAX_HEAD_BYTES) + b"\r\n\r\n")
+        assert transport.written.startswith(b"HTTP/1.1 200 OK")
+        assert not transport.closed
+
+    def test_oversized_request_head_is_capped_at_the_protocol(self):
+        protocol, transport = fake_connection()
+        chunk = padded_head(4096)
+        buffered = []
+        for _ in range(2048):  # 8 MB of head, no terminator
+            protocol.data_received(chunk)
+            buffered.append(len(protocol.buffer))
+            chunk = b"a" * 4096
+        assert max(buffered) < MAX_HEAD_BYTES + 4
+        assert protocol.buffer == b""
+        assert transport.written.startswith(
+            b"HTTP/1.1 431 Request Header Fields Too Large"
+        )
+        assert transport.written.count(b"HTTP/1.1") == 1
+        assert transport.closed
+        assert protocol.engine.bad_requests == 1
+
+    def test_oversized_request_head_over_a_socket(self):
         server = FeedServer([snapshot(1, 0.0, "a.com")])
-        with FeedHTTPServer(server, request_timeout=7.5) as httpd:
-            assert httpd._httpd.RequestHandlerClass.timeout == 7.5
+        with AsyncFeedHTTPServer(server) as httpd:
+            address = ("127.0.0.1", httpd.port)
+            with socket.create_connection(address, timeout=10) as sock:
+                sock.sendall(padded_head(MAX_HEAD_BYTES + 64))
+                blob = b""
+                while chunk := sock.recv(65536):
+                    blob += chunk
+            with urllib.request.urlopen(f"{httpd.url}/v1/stats") as response:
+                stats = json.loads(response.read())
+        assert blob.startswith(b"HTTP/1.1 431 ")
+        assert stats["bad_requests"] == 1
+        assert stats["requests"] == 0
+
+    def test_pipelined_reader_that_never_reads_is_backpressured(
+        self, monkeypatch
+    ):
+        domains = [f"domain-{index:05d}.example" for index in range(1000)]
+        server = FeedServer([snapshot(1, 0.0, *domains)])
+        sizes: list[int] = []
+
+        def sampled(method):
+            def wrapper(self, *args):
+                method(self, *args)
+                sizes.append(self.transport.get_write_buffer_size())
+
+            return wrapper
+
+        for name in ("data_received", "resume_writing"):
+            monkeypatch.setattr(
+                FeedProtocol, name, sampled(getattr(FeedProtocol, name))
+            )
+        requests = 100
+        pipeline = b"GET /v1/feed HTTP/1.1\r\nHost: x\r\n\r\n" * (requests - 1)
+        pipeline += b"GET /v1/feed HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        with AsyncFeedHTTPServer(server) as httpd:
+            response_size = len(httpd.engine.wire.full[0])
+            assert requests * response_size > 16 * WRITE_HIGH_WATER
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(30)
+            with sock:
+                sock.connect(("127.0.0.1", httpd.port))
+                sock.sendall(pipeline)
+                time.sleep(0.5)  # the server answers until it must stop
+                assert sizes
+                assert max(sizes) <= WRITE_HIGH_WATER + response_size
+                # Reading drains the buffer; every response then arrives.
+                received = 0
+                while chunk := sock.recv(1 << 20):
+                    received += len(chunk)
+        assert max(sizes) <= WRITE_HIGH_WATER + response_size
+        assert received == requests * response_size

@@ -1,16 +1,15 @@
-"""Serving-correctness suite for the feed HTTP front-ends.
+"""Serving-correctness suite for the feed HTTP front-end.
 
 The contract under test: the asyncio front-end
-(:class:`~repro.feed.asyncserve.AsyncFeedHTTPServer`) — including every
-``SO_REUSEPORT`` worker replica — serves responses byte-identical to the
-stdlib reference server (:class:`~repro.feed.http.FeedHTTPServer`) for
-every ``(client_version, client_hash)`` case, and the underlying
-:class:`~repro.feed.server.FeedServer` protocol is invariant under
-record round-trips for every ``(client_version, client_hash, now)``
-case.  "Byte-identical" means the response body plus every
-protocol-significant header (``ETag``, ``X-Feed-Version``,
-``X-Feed-Status``, ``Content-Encoding``) and the status code; transport
-headers like ``Date`` are the front-end's own business.
+(:class:`~repro.feed.asyncserve.AsyncFeedHTTPServer`) — with one replica
+and with ``SO_REUSEPORT`` worker replicas — serves, for every
+``(client_version, client_hash)`` case, exactly the response
+:meth:`FeedServer.handle <repro.feed.server.FeedServer.handle>` decides,
+and the underlying :class:`~repro.feed.server.FeedServer` protocol is
+invariant under record round-trips for every ``(client_version,
+client_hash, now)`` case.  "Exactly" means the status code, the identity
+or gzip body, and every protocol-significant header (``ETag``,
+``X-Feed-Version``, ``X-Feed-Status``, ``Content-Encoding``).
 
 Also here: regression coverage for the serving bug sweep —
 
@@ -18,8 +17,8 @@ Also here: regression coverage for the serving bug sweep —
   state) must be repaired with a full snapshot, never answered 304
   (proved at the HTTP layer and at fleet level);
 * request handling never re-renders snapshot canonical bytes;
-* ``ServerStats`` counters are exact under concurrency (threaded stdlib
-  server and pipelined async clients alike);
+* ``ServerStats`` counters are exact under concurrency (threaded
+  one-shot clients and pipelined async clients alike);
 * ``latest_at`` (bisect) agrees with a linear reference scan everywhere,
   including exact publication instants.
 """
@@ -53,7 +52,6 @@ from repro.feed.asyncserve import (
     AsyncFeedServer,
     LatencyHistogram,
 )
-from repro.feed.http import FeedHTTPServer
 from repro.feed.snapshot import state_hash
 from repro.telemetry import Telemetry, use
 
@@ -135,18 +133,54 @@ def significant(status: int, body: bytes, headers: dict) -> tuple:
     )
 
 
-# -------------------------------------------- stdlib vs asyncio equivalence
+def expected(
+    feed: FeedServer,
+    client_version: int | None = None,
+    client_hash: str | None = None,
+    accept_gzip: bool = False,
+) -> tuple:
+    """The :func:`significant` projection ``feed.handle`` decides."""
+    response = feed.handle(
+        FeedRequest(client_version=client_version, client_hash=client_hash)
+    )
+    if response.status == NOT_MODIFIED:
+        body, encoding, code = b"", None, 304
+    elif accept_gzip and response.gzip_payload is not None:
+        body, encoding, code = response.gzip_payload, "gzip", 200
+    else:
+        body, encoding, code = response.payload, None, 200
+    return (
+        code,
+        body,
+        response.content_hash,
+        str(response.version),
+        response.status,
+        encoding,
+    )
+
+
+BAD_SINCE = b'{"error":"since must be an integer version"}\n'
+
+
+# --------------------------------------------- front-end vs handle() sweep
 
 
 class TestFrontEndEquivalence:
-    """Exhaustive (client_version, client_hash) sweep over both servers."""
+    """Exhaustive (client_version, client_hash) sweep, 1 and 2 replicas."""
 
     @pytest.fixture(scope="class")
     def servers(self, history):
-        stdlib = FeedHTTPServer(make_server(history))
-        aio = AsyncFeedHTTPServer(make_server(history))
-        with stdlib, aio:
-            yield stdlib, aio
+        """(reference protocol, [1-replica server, 2-replica server])."""
+        fronts = [AsyncFeedHTTPServer(make_server(history))]
+        if hasattr(socket, "SO_REUSEPORT"):
+            fronts.append(AsyncFeedHTTPServer(make_server(history), workers=2))
+        for front in fronts:
+            front.start_background()
+        try:
+            yield make_server(history), fronts
+        finally:
+            for front in fronts:
+                front.shutdown()
 
     def _cases(self, history):
         latest = history[-1]
@@ -164,42 +198,49 @@ class TestFrontEndEquivalence:
                 yield since, client_hash
 
     def test_every_case_byte_identical(self, servers, history):
-        stdlib, aio = servers
+        reference, fronts = servers
         checked = 0
-        for since, client_hash in self._cases(history):
-            path = "/v1/feed" if since is None else f"/v1/feed?since={since}"
-            headers = {} if client_hash is None else {"If-None-Match": client_hash}
-            reference = significant(*fetch(stdlib.port, path, headers))
-            candidate = significant(*fetch(aio.port, path, headers))
-            assert candidate == reference, (since, client_hash)
-            checked += 1
-        assert checked == (len(history) + 4) * 4
+        for front in fronts:
+            for since, client_hash in self._cases(history):
+                path = "/v1/feed" if since is None else f"/v1/feed?since={since}"
+                version = None if since is None else int(since)
+                for accept_gzip in (False, True):
+                    headers = {"Accept-Encoding": "gzip"} if accept_gzip else {}
+                    if client_hash is not None:
+                        headers["If-None-Match"] = client_hash
+                    candidate = significant(*fetch(front.port, path, headers))
+                    assert candidate == expected(
+                        reference, version, client_hash, accept_gzip
+                    ), (front.workers, since, client_hash, accept_gzip)
+                    checked += 1
+        assert checked == len(fronts) * (len(history) + 4) * 4 * 2
 
     def test_malformed_since_is_400_on_both(self, servers):
-        stdlib, aio = servers
-        reference = significant(*fetch(stdlib.port, "/v1/feed?since=banana"))
-        candidate = significant(*fetch(aio.port, "/v1/feed?since=banana"))
-        assert reference[0] == candidate[0] == 400
-        assert reference == candidate
+        _, fronts = servers
+        for front in fronts:
+            status, body, _ = fetch(front.port, "/v1/feed?since=banana")
+            assert (status, body) == (400, BAD_SINCE)
 
     def test_empty_since_serves_full_on_both(self, servers, history):
-        stdlib, aio = servers
-        reference = significant(*fetch(stdlib.port, "/v1/feed?since="))
-        candidate = significant(*fetch(aio.port, "/v1/feed?since="))
-        assert reference == candidate
-        assert reference[4] == FULL
-        assert json.loads(reference[1])["version"] == history[-1].version
+        reference, fronts = servers
+        for front in fronts:
+            candidate = significant(*fetch(front.port, "/v1/feed?since="))
+            assert candidate == expected(reference)
+            assert candidate[4] == FULL
+            assert json.loads(candidate[1])["version"] == history[-1].version
 
     def test_unknown_path_and_health_agree(self, servers):
-        stdlib, aio = servers
-        for path in ("/healthz", "/nope"):
-            reference = fetch(stdlib.port, path)
-            candidate = fetch(aio.port, path)
-            assert (reference[0], reference[1]) == (candidate[0], candidate[1])
+        _, fronts = servers
+        for front in fronts:
+            assert fetch(front.port, "/healthz")[:2] == (200, b'{"status":"ok"}\n')
+            assert fetch(front.port, "/nope")[:2] == (
+                404,
+                b'{"error":"unknown path"}\n',
+            )
 
     def test_gzip_bodies_decompress_to_identity(self, servers):
-        stdlib, aio = servers
-        for server in (stdlib, aio):
+        _, fronts = servers
+        for server in fronts:
             plain_status, plain, _ = fetch(server.port, "/v1/feed?since=1")
             status, body, headers = fetch(
                 server.port, "/v1/feed?since=1", {"Accept-Encoding": "gzip"}
@@ -211,7 +252,7 @@ class TestFrontEndEquivalence:
 
     def test_delta_chain_compaction_over_http(self, servers, history):
         """since=v1 gets a *small* delta to a checkpoint, not the tip."""
-        _, aio = servers
+        aio = servers[1][0]
         full_size = len(fetch(aio.port, "/v1/feed")[1])
         status, body, headers = fetch(aio.port, "/v1/feed?since=1")
         assert status == 200 and headers["X-Feed-Status"] == DELTA
@@ -282,21 +323,19 @@ class TestWorkerReplicas:
     @pytest.mark.skipif(
         not hasattr(socket, "SO_REUSEPORT"), reason="needs SO_REUSEPORT"
     )
-    def test_live_replicas_match_stdlib_reference(self, history):
+    def test_live_replicas_match_handle_reference(self, history):
         """Every response from a 2-replica server — whichever process
-        answers — is byte-identical to the single stdlib server's."""
-        stdlib = FeedHTTPServer(make_server(history))
+        answers — is the one ``FeedServer.handle`` decides."""
         replicated = AsyncFeedHTTPServer(make_server(history), workers=2)
-        cases = [
-            "/v1/feed",
-            "/v1/feed?since=1",
-            f"/v1/feed?since={history[-2].version}",
-            "/v1/feed?since=999",
-        ]
-        with stdlib, replicated:
-            reference = {
-                path: significant(*fetch(stdlib.port, path)) for path in cases
-            }
+        feed = make_server(history)
+        cases = {
+            "/v1/feed": None,
+            "/v1/feed?since=1": 1,
+            f"/v1/feed?since={history[-2].version}": history[-2].version,
+            "/v1/feed?since=999": 999,
+        }
+        reference = {path: expected(feed, since) for path, since in cases.items()}
+        with replicated:
             pids = set()
             deadline = time.monotonic() + 20
             while len(pids) < 2 and time.monotonic() < deadline:
@@ -378,22 +417,19 @@ class TestLatestAtBisect:
 
 
 class TestCorruptedClientRepair:
-    def test_http_repair_on_both_front_ends(self, history):
+    def test_http_repair_of_corrupted_client(self, history):
         """A client claiming the latest version with a wrong hash is
         served a full snapshot (200), never 304."""
         latest = history[-1]
-        stdlib = FeedHTTPServer(make_server(history))
-        aio = AsyncFeedHTTPServer(make_server(history))
-        with stdlib, aio:
-            for server in (stdlib, aio):
-                status, body, headers = fetch(
-                    server.port,
-                    f"/v1/feed?since={latest.version}",
-                    {"If-None-Match": "sha256:corrupt"},
-                )
-                assert status == 200
-                assert headers["X-Feed-Status"] == FULL
-                assert json.loads(body)["version"] == latest.version
+        with AsyncFeedHTTPServer(make_server(history)) as server:
+            status, body, headers = fetch(
+                server.port,
+                f"/v1/feed?since={latest.version}",
+                {"If-None-Match": "sha256:corrupt"},
+            )
+        assert status == 200
+        assert headers["X-Feed-Status"] == FULL
+        assert json.loads(body)["version"] == latest.version
 
     def test_fleet_recovers_from_corrupted_cohort(self, history):
         """Fleet-level regression: corrupt a cohort's state once it
@@ -505,8 +541,9 @@ class TestConcurrentStatsExactness:
         delta_size = server.payloads.tip_payload(1).body
         assert stats["bytes_served"] == polls * (full_size + len(delta_size))
 
-    def test_stdlib_http_concurrent_counts_exact(self, history):
-        server = FeedHTTPServer(make_server(history))
+    def test_threaded_clients_concurrent_counts_exact(self, history):
+        """One-shot connections from many threads, 400s included."""
+        server = AsyncFeedHTTPServer(make_server(history))
         latest = server.feed.latest
         threads_n, per_thread = 6, 8
         barrier = threading.Barrier(threads_n)
